@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import KnowmatchError, NumericalError
 from .harness import (
     RunConfig,
+    build_annotations,
     compare,
     evaluate,
     load_config_file,
@@ -25,15 +26,7 @@ from .harness import (
     run_prepare,
     run_train,
 )
-from .knowledge import (
-    AnnotationStore,
-    Gazetteer,
-    ditto_inject,
-    export_annotations,
-    infer_column_types,
-    link_entities,
-)
-from .serializer import build_vocab
+from .knowledge import export_annotations
 from .synth import SyntheticSpec, generate_synthetic, write_synthetic
 from .tabular import load_table
 
@@ -122,25 +115,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         if not path.exists():
             raise FileNotFoundError(str(path))
         tables.append(load_table(path))
-    store = AnnotationStore()
-    if args.rule_typer:
-        for table in tables:
-            for ann in infer_column_types(table):
-                store.add_column_type(ann)
-    if args.gazetteer:
-        gaz = Gazetteer.from_file(args.gazetteer)
-        tokenizer = build_vocab(tables)
-        for table in tables:
-            for mention in link_entities(table, gaz, tokenizer):
-                store.add_mention(mention)
-    if args.ditto_mode.lower() != "off":
-        filtered = ditto_inject(store.all_mentions(), args.ditto_mode)
-        rebuilt = AnnotationStore()
-        for ann in store.all_column_types():
-            rebuilt.add_column_type(ann)
-        for mention in filtered:
-            rebuilt.add_mention(mention)
-        store = rebuilt
+    store = build_annotations(tables, args.rule_typer, args.gazetteer, None, args.ditto_mode)
     export_annotations(store, args.out)
     print(json.dumps(store.counts(), sort_keys=True))
     return 0

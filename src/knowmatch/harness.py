@@ -179,37 +179,35 @@ class Metrics:
         }
 
 
-def _build_store(config: RunConfig, tables, tokenizer_for_gazetteer) -> tuple[AnnotationStore, dict]:
-    """Collect annotations: rule typer, gazetteer, then external file (which
-    overrides column types). Ditto filtering applies to mentions last."""
+def build_annotations(
+    tables,
+    rule_typer: bool,
+    gazetteer: str | Path | None,
+    annotations: str | Path | None,
+    ditto_mode: str,
+) -> AnnotationStore:
+    """Collect annotations: rule typer, gazetteer, then an external JSONL file
+    (whose column types override). Ditto filtering applies to mentions last."""
     store = AnnotationStore()
-    provenance: dict = {
-        "rule_typer": config.use_rule_typer,
-        "gazetteer": config.gazetteer,
-        "annotations": config.annotations,
-        "ditto_mode": config.ditto_mode,
-    }
-    if config.use_rule_typer:
+    if rule_typer:
         for table in tables:
             for ann in infer_column_types(table):
                 store.add_column_type(ann)
-    if config.gazetteer:
-        gaz = Gazetteer.from_file(config.gazetteer)
+    if gazetteer:
+        gaz = Gazetteer.from_file(gazetteer)
         for table in tables:
-            for mention in link_entities(table, gaz, tokenizer_for_gazetteer):
+            for mention in link_entities(table, gaz):
                 store.add_mention(mention)
-    if config.annotations:
-        store.merge(ingest_annotations(config.annotations))
-    if config.ditto_mode.lower() != "off":
-        filtered = ditto_inject(store.all_mentions(), config.ditto_mode)
-        rebuilt = AnnotationStore()
-        for ann in store.all_column_types():
-            rebuilt.add_column_type(ann)
-        for mention in filtered:
-            rebuilt.add_mention(mention)
-        store = rebuilt
-    provenance.update(store.counts())
-    return store, provenance
+    if annotations:
+        store.merge(ingest_annotations(annotations))
+    if ditto_mode.lower() == "off":
+        return store
+    filtered = AnnotationStore()
+    for ann in store.all_column_types():
+        filtered.add_column_type(ann)
+    for mention in ditto_inject(store.all_mentions(), ditto_mode):
+        filtered.add_mention(mention)
+    return filtered
 
 
 def run_prepare(config: RunConfig) -> dict:
@@ -228,10 +226,10 @@ def run_prepare(config: RunConfig) -> dict:
     if not split_sets:
         raise FileNotFoundError(f"no split files (train/valid/test.csv) in {data_dir}")
 
-    # The gazetteer scans raw text, so any tokenizer works for spans; build
-    # the real vocabulary after annotation labels are known.
-    bootstrap = build_vocab([left, right], min_count=1)
-    store, provenance = _build_store(config, (left, right), bootstrap)
+    store = build_annotations(
+        (left, right), config.use_rule_typer, config.gazetteer,
+        config.annotations, config.ditto_mode,
+    )
     tokenizer = build_vocab(
         [left, right], min_count=config.min_count, extra_labels=store.type_labels()
     )
@@ -269,7 +267,13 @@ def run_prepare(config: RunConfig) -> dict:
         "prompt_mode": mode.value,
         "max_len": config.max_len,
         "splits": counts,
-        "annotations": provenance,
+        "annotations": {
+            "rule_typer": config.use_rule_typer,
+            "gazetteer": config.gazetteer,
+            "annotations": config.annotations,
+            "ditto_mode": config.ditto_mode,
+            **store.counts(),
+        },
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
@@ -392,13 +396,6 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
     with open(out_dir / f"metrics_{split}.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(metrics.to_dict(), sort_keys=True) + "\n")
     return metrics
-
-
-def run_pipeline(config: RunConfig) -> Metrics:
-    """prepare + train + evaluate(test) in one call."""
-    run_prepare(config)
-    run_train(config)
-    return evaluate(config, "test")
 
 
 def compare(config_a: RunConfig, config_b: RunConfig, split: str = "test") -> dict:

@@ -10,7 +10,7 @@ visibility matrix confines each branch to its own head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class InjectedSequence:
     trunk_mask: tuple[int, ...]
 
 
-def build_injection_tree(seq: TokenSeq) -> InjectionTree:
+def build_injection_tree(seq: TokenSeq | InputSequence) -> InjectionTree:
     """Build the depth-1 tree for a constrained-mode token sequence."""
     return InjectionTree(
         trunk=tuple(seq.tokens),
@@ -70,8 +70,18 @@ def build_injection_tree(seq: TokenSeq) -> InjectionTree:
     )
 
 
-def _flat_layout(tree: InjectionTree) -> list[tuple[int, int]]:
-    """Flat order as (trunk index, -1) or (branch index, k) entries.
+class _Layout(NamedTuple):
+    """Per flat token: its id, soft position, owning branch (-1 for trunk
+    tokens) and anchor (its own trunk index, or its head's last one)."""
+
+    tokens: list[int]
+    soft: list[int]
+    owner: list[int]
+    anchor: list[int]
+
+
+def _flat_layout(tree: InjectionTree) -> _Layout:
+    """Walk the tree once in flat order.
 
     Branch tokens sit immediately after the last token of their head span;
     branches anchored at the same point (only possible with identical heads,
@@ -80,13 +90,23 @@ def _flat_layout(tree: InjectionTree) -> list[tuple[int, int]]:
     by_anchor: dict[int, list[int]] = {}
     for bi, br in enumerate(tree.branches):
         by_anchor.setdefault(br.head[1] - 1, []).append(bi)
-    layout: list[tuple[int, int]] = []
-    for i in range(len(tree.trunk)):
-        layout.append((i, -1))
+    layout = _Layout([], [], [], [])
+    for i, tok in enumerate(tree.trunk):
+        layout.tokens.append(tok)
+        layout.soft.append(i)
+        layout.owner.append(-1)
+        layout.anchor.append(i)
         for bi in by_anchor.get(i, ()):
-            for k in range(len(tree.branches[bi].knowledge)):
-                layout.append((bi, k))
+            know = tree.branches[bi].knowledge
+            layout.tokens.extend(know)
+            layout.soft.extend(range(i + 1, i + 1 + len(know)))
+            layout.owner.extend([bi] * len(know))
+            layout.anchor.extend([i] * len(know))
     return layout
+
+
+def _trunk_mask(layout: _Layout) -> tuple[int, ...]:
+    return tuple(int(b < 0) for b in layout.owner)
 
 
 def flatten_with_soft_positions(
@@ -97,20 +117,28 @@ def flatten_with_soft_positions(
     Trunk tokens keep their trunk index as position; the k-th token of a
     branch (k = 1, 2, ...) gets the position of its head's last token plus k.
     """
-    tokens: list[int] = []
-    soft: list[int] = []
-    mask: list[int] = []
-    for idx, k in _flat_layout(tree):
-        if k < 0:
-            tokens.append(tree.trunk[idx])
-            soft.append(idx)
-            mask.append(1)
-        else:
-            br = tree.branches[idx]
-            tokens.append(br.knowledge[k])
-            soft.append(br.head[1] - 1 + k + 1)
-            mask.append(0)
-    return tuple(tokens), tuple(soft), tuple(mask)
+    layout = _flat_layout(tree)
+    return tuple(layout.tokens), tuple(layout.soft), _trunk_mask(layout)
+
+
+def _visible_matrix(tree: InjectionTree, layout: _Layout) -> np.ndarray:
+    owner = np.asarray(layout.owner, dtype=np.intp)
+    anchor = np.asarray(layout.anchor, dtype=np.intp)
+    in_branch = owner >= 0
+    # First trunk index of each token's head span; trunk tokens (owner -1)
+    # read the trailing placeholder, which the in_branch test discards.
+    head_start = np.asarray([br.head[0] for br in tree.branches] + [0], dtype=np.intp)[owner]
+    # Branch token i sees trunk token j iff j lies in i's head span, which
+    # ends at i's anchor.
+    sees_head = (
+        in_branch[:, None]
+        & ~in_branch[None, :]
+        & (head_start[:, None] <= anchor[None, :])
+        & (anchor[None, :] <= anchor[:, None])
+    )
+    # Equal owners: both trunk, the same branch, or the diagonal.
+    visible = (owner[:, None] == owner[None, :]) | sees_head | sees_head.T
+    return visible.astype(np.uint8)
 
 
 def build_visible_matrix(tree: InjectionTree, flat_len: int) -> np.ndarray:
@@ -121,31 +149,11 @@ def build_visible_matrix(tree: InjectionTree, flat_len: int) -> np.ndarray:
     span. Every token sees itself.
     """
     layout = _flat_layout(tree)
-    if len(layout) != flat_len:
+    if len(layout.tokens) != flat_len:
         raise DomainError(
-            f"flat_len {flat_len} does not match flattened length {len(layout)}"
+            f"flat_len {flat_len} does not match flattened length {len(layout.tokens)}"
         )
-    n = flat_len
-    trunk_flat = [fi for fi, (idx, k) in enumerate(layout) if k < 0]
-    trunk_pos_to_flat = {layout[fi][0]: fi for fi in trunk_flat}
-
-    visible = np.zeros((n, n), dtype=np.uint8)
-    t = np.asarray(trunk_flat, dtype=np.intp)
-    visible[np.ix_(t, t)] = 1
-    for bi, br in enumerate(tree.branches):
-        members = np.asarray(
-            [fi for fi, (idx, k) in enumerate(layout) if k >= 0 and idx == bi],
-            dtype=np.intp,
-        )
-        heads = np.asarray(
-            [trunk_pos_to_flat[p] for p in range(br.head[0], br.head[1])],
-            dtype=np.intp,
-        )
-        visible[np.ix_(members, members)] = 1
-        visible[np.ix_(members, heads)] = 1
-        visible[np.ix_(heads, members)] = 1
-    np.fill_diagonal(visible, 1)
-    return visible
+    return _visible_matrix(tree, layout)
 
 
 def assemble(pair: InputSequence, max_len: int) -> InjectedSequence:
@@ -156,56 +164,38 @@ def assemble(pair: InputSequence, max_len: int) -> InjectedSequence:
     """
     if pair.mode is not PromptMode.CONSTRAINED:
         raise DomainError(f"assemble requires constrained mode, got {pair.mode}")
-    tree = InjectionTree(
-        trunk=tuple(pair.tokens),
-        branches=tuple(Branch(s.head, s.knowledge) for s in pair.sites),
-    )
-    tokens, soft, mask = flatten_with_soft_positions(tree)
-    if len(tokens) > max_len:
+    tree = build_injection_tree(pair)
+    layout = _flat_layout(tree)
+    if len(layout.tokens) > max_len:
         raise SequenceOverflowError(
-            f"injected length {len(tokens)} exceeds max_len {max_len}"
+            f"injected length {len(layout.tokens)} exceeds max_len {max_len}"
         )
-    visible = build_visible_matrix(tree, len(tokens))
-
-    segments = []
-    for (idx, k), _tok in zip(_flat_layout(tree), tokens):
-        if k < 0:
-            segments.append(pair.segments[idx])
-        else:
-            head_last = tree.branches[idx].head[1] - 1
-            segments.append(pair.segments[head_last])
     return InjectedSequence(
-        tokens=tokens,
-        soft_positions=soft,
-        visible=visible,
-        segments=tuple(segments),
-        trunk_mask=mask,
+        tokens=tuple(layout.tokens),
+        soft_positions=tuple(layout.soft),
+        visible=_visible_matrix(tree, layout),
+        segments=tuple(pair.segments[a] for a in layout.anchor),
+        trunk_mask=_trunk_mask(layout),
     )
 
 
 def pack_visible_rows(visible: np.ndarray) -> list[str]:
     """Encode each row as hex: bit j of row i (little-endian) is V[i][j]."""
-    n = visible.shape[0]
-    width = max(1, (n + 3) // 4)
-    out = []
-    for i in range(n):
-        acc = 0
-        row = visible[i]
-        for j in range(n):
-            if row[j]:
-                acc |= 1 << j
-        out.append(format(acc, f"0{width}x"))
-    return out
+    width = max(1, (visible.shape[0] + 3) // 4)
+    packed = np.packbits(visible, axis=1, bitorder="little")
+    return [format(int.from_bytes(row.tobytes(), "little"), f"0{width}x") for row in packed]
 
 
 def unpack_visible_rows(rows: Sequence[str], n: int) -> np.ndarray:
     """Inverse of :func:`pack_visible_rows`."""
+    n_bytes = (n + 7) // 8
+    mask = (1 << (8 * n_bytes)) - 1
+    packed = np.frombuffer(
+        b"".join((int(row, 16) & mask).to_bytes(n_bytes, "little") for row in rows),
+        dtype=np.uint8,
+    ).reshape(len(rows), n_bytes)
     visible = np.zeros((n, n), dtype=np.uint8)
-    for i, hexrow in enumerate(rows):
-        acc = int(hexrow, 16)
-        for j in range(n):
-            if (acc >> j) & 1:
-                visible[i, j] = 1
+    visible[: len(rows)] = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     return visible
 
 

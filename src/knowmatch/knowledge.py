@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import DomainError, FormatError, OverlapError
 from .tabular import Table
-from .text import Tokenizer, tokenize
+from .text import tokenize
 
 # Ditto-style baseline injection vocabularies.
 DITTO_GENERAL_TYPES = frozenset(
@@ -165,9 +165,6 @@ class AnnotationStore:
         for mention in other.all_mentions():
             self.add_mention(mention)
 
-    def is_empty(self) -> bool:
-        return not self._column_types and not self._mentions
-
     def counts(self) -> dict[str, int]:
         return {
             "column_types": len(self._column_types),
@@ -229,9 +226,7 @@ def infer_column_types(table: Table) -> list[ColumnTypeAnnotation]:
     return annotations
 
 
-def link_entities(
-    table: Table, gazetteer: Gazetteer, tokenizer: Tokenizer
-) -> list[EntityMention]:
+def link_entities(table: Table, gazetteer: Gazetteer) -> list[EntityMention]:
     """Tag gazetteer hits in every cell by greedy longest match.
 
     The scan is left to right over the cell's token sequence; after a match
@@ -243,7 +238,7 @@ def link_entities(
         return mentions
     for rec in table.rows:
         for column, value in rec.columns:
-            tokens = tokenizer.tokenize_text(value)
+            tokens = tokenize(value)
             i, n = 0, len(tokens)
             while i < n:
                 match_end = 0

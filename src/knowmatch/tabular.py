@@ -121,14 +121,12 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
     return rows
 
 
-def load_table(path: str | Path, format: str = "csv", name: str | None = None) -> Table:
+def load_table(path: str | Path, name: str | None = None) -> Table:
     """Load a table from CSV. The header must contain an ``id`` column.
 
     Cells are read verbatim as text (no numeric coercion); empty cells become
     empty strings.
     """
-    if format != "csv":
-        raise DomainError(f"unsupported table format {format!r}")
     path = Path(path)
     rows = _read_csv_rows(path)
     if not rows:

@@ -73,10 +73,6 @@ class Tokenizer:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    @staticmethod
-    def tokenize_text(text: str) -> list[str]:
-        return tokenize(text)
-
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         """Map token texts to ids; unknown tokens map to [UNK]."""
         return [self.vocab.get(tok, UNK_ID) for tok in tokens]

@@ -4,6 +4,7 @@ import pytest
 
 import knowmatch.cli as cli
 from knowmatch.errors import NumericalError
+from knowmatch.knowledge import DITTO_GENERAL_TYPES
 
 
 def run_cli(capsys, *argv):
@@ -198,3 +199,38 @@ class TestAnnotateCommand:
             if l.strip()
         ]
         assert all(obj["kind"] in ("column_type", "mention") for obj in lines)
+
+    def test_annotate_ditto_general_keeps_general_types(self, synth_dir, tmp_path, capsys):
+        # One gazetteer entry per word of the first left name, typed with a
+        # General type (ORG, PERSON) or a non-General one (NORP, artist).
+        first_row = (synth_dir / "tableA.csv").read_text().splitlines()[1]
+        words = first_row.split(",")[1].split()
+        assert len(words) >= 2
+        labels = ["ORG", "NORP", "PERSON", "artist"]
+        gaz = tmp_path / "gaz.tsv"
+        gaz.write_text(
+            "".join(f"{w}\t{label}\n" for w, label in zip(words, labels)),
+            encoding="utf-8",
+        )
+        out_file = tmp_path / "annotations.jsonl"
+        code, _, _ = run_cli(
+            capsys, "annotate", "--data_dir", str(synth_dir), "--out", str(out_file),
+            "--gazetteer", str(gaz), "--ditto_mode", "general",
+        )
+        assert code == 0
+        mentions = [
+            obj
+            for obj in map(json.loads, out_file.read_text().splitlines())
+            if obj["kind"] == "mention"
+        ]
+        assert mentions
+        assert {m["type"] for m in mentions} <= DITTO_GENERAL_TYPES
+        assert "ORG" in {m["type"] for m in mentions}
+
+    def test_annotate_unknown_ditto_mode_exit_2(self, synth_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "annotate", "--data_dir", str(synth_dir),
+            "--out", str(tmp_path / "a.jsonl"), "--ditto_mode", "bogus",
+        )
+        assert code == 2
+        assert "ditto" in err

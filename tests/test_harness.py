@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from knowmatch.harness import (
 )
 from knowmatch.serializer import read_batch_file
 from knowmatch.synth import SyntheticSpec, generate_synthetic, write_synthetic
-from knowmatch.text import Tokenizer
+from knowmatch.tabular import load_pairs, load_table
+from knowmatch.text import Tokenizer, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,46 @@ class TestPrepare:
         second["manifest"] = (tmp_path / "out" / "manifest.json").read_bytes()
         assert first == second
 
+    # sha256 of the prepared artifacts for the gold-annotation config. A
+    # refactor that should keep behaviour must keep these bytes; an intended
+    # format change updates them openly. manifest.json is left out because it
+    # records the absolute annotation path.
+    GOLDEN_VOCAB = "7c513e02c15371c967aa4180e6d917c694dee8af3e02b2abb536d9c355c04c9d"
+    GOLDEN_BATCHES = {
+        "space": {
+            "test.jsonl": "37e1e8b703c0329c84f197ad2bbab263e1194a8973de1809c8448e0e2bea9a2e",
+            "train.jsonl": "12d6833d445ae4f6809d7e46ccb176349cfebeda7ad70f9fdc1cc096a997a9e3",
+            "valid.jsonl": "c0bab5e13ce9eb0cfc1cef64dacea1757922d93335fafb9651fa6f10994bd623",
+        },
+        "slash": {
+            "test.jsonl": "d1783da20ad67c4f5ad48ddb8cc117e67427923e3ecaeb50f57d51fe7a07f5af",
+            "train.jsonl": "089a147a6b3fb8f487880a1831af5ec479d7e6457a22f6794649f5cc56bcbfb3",
+            "valid.jsonl": "cabdef7523b6e9c1861933e9dedae7321ed42e29d7f55fe740df0656f1d36c9a",
+        },
+        "constrained": {
+            "test.jsonl": "3853795e78b98ca07defb63435fde27af459ec2797a65e4b2f587df915eec524",
+            "train.jsonl": "18bd3bade7f1869aabc172503c0260d1c189bea654e1e157118d6370add177bc",
+            "valid.jsonl": "2c215f9a98697e0df5e1f3a2618f7fe845f80b2a1302c3c9b8532e292b770120",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["space", "slash", "constrained"])
+    def test_golden_bytes(self, small_dataset, tmp_path, mode):
+        out = tmp_path / "out"
+        config = desk_config(
+            small_dataset, out, prompt_mode=mode,
+            annotations=str(small_dataset / "gold_annotations.jsonl"),
+        )
+        run_prepare(config)
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert sha(out / "vocab.tsv") == self.GOLDEN_VOCAB
+        assert {
+            p.name: sha(p) for p in (out / "batches").glob("*.jsonl")
+        } == self.GOLDEN_BATCHES[mode]
+
     def test_missing_table_raises(self, tmp_path):
         config = desk_config(tmp_path / "nowhere", tmp_path / "out")
         with pytest.raises(FileNotFoundError):
@@ -175,6 +217,48 @@ class TestPrepare:
         )
         manifest = run_prepare(config)
         assert manifest["annotations"]["column_types"] > 0
+
+    def test_ditto_product_mode(self, small_dataset, tmp_path):
+        left = load_table(small_dataset / "tableA.csv")
+        right = load_table(small_dataset / "tableB.csv")
+        row_id = load_pairs(small_dataset / "train.csv", left, right).pairs[0].left_id
+        record = left.row(row_id)
+        anns = [{
+            "kind": "column_type", "table": left.name, "column": "name",
+            "type": "name", "confidence": 1.0,
+        }]
+        # Two one-token mentions in each of two cells: ORG and artist are not
+        # Product-source types, GPE and PERSON are.
+        for column, types in (("name", ("ORG", "GPE")), ("info1", ("PERSON", "artist"))):
+            words = tokenize(record.value(column))
+            assert len(words) >= 2
+            for start, label in enumerate(types):
+                anns.append({
+                    "kind": "mention", "table": left.name, "row": row_id,
+                    "column": column, "start": start, "end": start + 1,
+                    "surface": words[start], "type": label,
+                })
+        ann_path = tmp_path / "anns.jsonl"
+        ann_path.write_text("".join(json.dumps(a) + "\n" for a in anns), encoding="utf-8")
+
+        out = tmp_path / "out"
+        config = desk_config(
+            small_dataset, out, prompt_mode="constrained",
+            annotations=str(ann_path), ditto_mode="product",
+        )
+        manifest = run_prepare(config)
+        assert manifest["annotations"]["column_types"] == 1
+        assert manifest["annotations"]["mentions"] == 2
+        tokenizer = Tokenizer.load(out / "vocab.tsv")
+        sites = [
+            site
+            for line in read_batch_file(out / "batches" / "train.jsonl")
+            for site in line["sites"]
+        ]
+        entity_labels = [tokenizer.decode(s["know"]) for s in sites if s["kind"] == "entity"]
+        column_labels = [tokenizer.decode(s["know"]) for s in sites if s["kind"] == "column"]
+        assert entity_labels and all(label == ["product"] for label in entity_labels)
+        assert column_labels and all(label == ["name"] for label in column_labels)
 
 
 class TestTrainEvaluate:

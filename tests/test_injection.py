@@ -288,3 +288,15 @@ class TestVisibleRowsPacking:
     def test_known_encoding(self):
         visible = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         assert pack_visible_rows(visible) == ["1", "2"]
+        # Random matrices across byte boundaries and at max_len 512, against
+        # the format spelled out: bit j of row i is V[i][j], zero-padded hex.
+        rng = np.random.default_rng(3)
+        for n in [*range(71), 512]:
+            visible = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+            width = max(1, (n + 3) // 4)
+            want = [
+                format(sum(int(visible[i, j]) << j for j in range(n)), f"0{width}x")
+                for i in range(n)
+            ]
+            assert pack_visible_rows(visible) == want
+            assert (unpack_visible_rows(want, n) == visible).all()

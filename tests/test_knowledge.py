@@ -16,6 +16,7 @@ from knowmatch.knowledge import (
     ingest_annotations,
     link_entities,
 )
+from knowmatch.text import tokenize
 from conftest import make_table
 
 
@@ -87,38 +88,38 @@ class TestLinkEntities:
             [("apple iphone", "PRODUCT"), ("apple", "ORG"), ("samsung", "ORG")]
         )
 
-    def test_longest_match_wins(self, tokenizer):
+    def test_longest_match_wins(self):
         table = column_table(["apple iphone 6s"], name="tableA", column="title")
-        mentions = link_entities(table, self.gaz(), tokenizer)
+        mentions = link_entities(table, self.gaz())
         assert len(mentions) == 1
         m = mentions[0]
         assert (m.start, m.end, m.entity_type) == (0, 2, "PRODUCT")
         assert m.surface == "apple iphone"
 
-    def test_empty_gazetteer(self, tokenizer):
+    def test_empty_gazetteer(self):
         table = column_table(["apple iphone"], name="tableA", column="title")
-        assert link_entities(table, Gazetteer(entries={}), tokenizer) == []
+        assert link_entities(table, Gazetteer(entries={})) == []
 
-    def test_two_disjoint_matches(self, tokenizer):
+    def test_two_disjoint_matches(self):
         table = column_table(["apple versus samsung"], name="tableA", column="title")
-        mentions = link_entities(table, self.gaz(), tokenizer)
+        mentions = link_entities(table, self.gaz())
         assert [(m.start, m.end) for m in mentions] == [(0, 1), (2, 3)]
 
-    def test_case_insensitive(self, tokenizer):
+    def test_case_insensitive(self):
         gaz = Gazetteer.from_pairs([("Apple iPhone", "PRODUCT")])
         table = column_table(["APPLE IPHONE 6s"], name="tableA", column="title")
-        mentions = link_entities(table, gaz, tokenizer)
+        mentions = link_entities(table, gaz)
         assert len(mentions) == 1 and mentions[0].entity_type == "PRODUCT"
 
-    def test_spans_never_overlap_and_surface_matches(self, tokenizer):
+    def test_spans_never_overlap_and_surface_matches(self):
         rng = random.Random(1)
         words = ["apple", "iphone", "samsung", "6s", "case", "pro"]
         gaz = self.gaz()
         for _ in range(20):
             text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 8)))
             table = column_table([text], name="tableA", column="title")
-            mentions = link_entities(table, gaz, tokenizer)
-            tokens = tokenizer.tokenize_text(text)
+            mentions = link_entities(table, gaz)
+            tokens = tokenize(text)
             last_end = 0
             for m in sorted(mentions, key=lambda m: m.start):
                 assert m.start >= last_end
