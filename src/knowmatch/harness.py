@@ -290,12 +290,11 @@ def _line_to_sequence(line: dict) -> tuple:
     return (tokens, soft, line["segments"], visible, line.get("label"))
 
 
-def _batches_of(lines, order, batch_size, dtype):
+def _batches_of(seqs, order, batch_size, dtype):
+    """Batches of decoded ``_line_to_sequence`` tuples, in ``order``."""
     for start in range(0, len(order), batch_size):
-        chunk = [lines[i] for i in order[start : start + batch_size]]
-        yield Batch.from_sequences(
-            [_line_to_sequence(line) for line in chunk], pad_id=PAD_ID, dtype=dtype
-        )
+        chunk = [seqs[i] for i in order[start : start + batch_size]]
+        yield Batch.from_sequences(chunk, pad_id=PAD_ID, dtype=dtype)
 
 
 def _read_manifest(out_dir: Path) -> dict:
@@ -313,7 +312,8 @@ def run_train(config: RunConfig) -> dict:
     train_path = out_dir / "batches" / "train.jsonl"
     if not train_path.exists():
         raise FileNotFoundError(str(train_path))
-    lines = read_batch_file(train_path)
+    # Decoded once: the visibility rows are not re-parsed every epoch.
+    seqs = [_line_to_sequence(line) for line in read_batch_file(train_path)]
     tokenizer = Tokenizer.load(out_dir / "vocab.tsv")
 
     enc_config = EncoderConfig(
@@ -338,8 +338,8 @@ def run_train(config: RunConfig) -> dict:
     step = 0
     with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(config.epochs):
-            order = rng.permutation(len(lines)).tolist()
-            for batch in _batches_of(lines, order, config.batch_size, dtype):
+            order = rng.permutation(len(seqs)).tolist()
+            for batch in _batches_of(seqs, order, config.batch_size, dtype):
                 try:
                     params_new, state, loss_value = train_step(
                         batch, params, state, config.lr, enc_config,
@@ -386,9 +386,10 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
             "checkpoint vocabulary does not match the prepared batches"
         )
     lines = read_batch_file(out_dir / "batches" / f"{split}.jsonl")
+    seqs = [_line_to_sequence(line) for line in lines]
     predictions, labels = [], []
-    order = list(range(len(lines)))
-    for batch in _batches_of(lines, order, config.batch_size, enc_config.np_dtype):
+    order = list(range(len(seqs)))
+    for batch in _batches_of(seqs, order, config.batch_size, enc_config.np_dtype):
         probs = forward(batch, params, enc_config)
         predictions.extend(np.argmax(probs, axis=1).tolist())
         labels.extend(batch.labels.tolist())

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OverlapError, SequenceOverflowError
+from .errors import DomainError, FormatError, OverlapError, SequenceOverflowError
 from .serializer import InputSequence, PromptMode, TokenSeq
 
 
@@ -187,16 +187,17 @@ def pack_visible_rows(visible: np.ndarray) -> list[str]:
 
 
 def unpack_visible_rows(rows: Sequence[str], n: int) -> np.ndarray:
-    """Inverse of :func:`pack_visible_rows`."""
+    """Inverse of :func:`pack_visible_rows`. Raises ``FormatError`` unless
+    there is exactly one row per token."""
+    if len(rows) != n:
+        raise FormatError(f"{len(rows)} visibility rows for {n} tokens")
     n_bytes = (n + 7) // 8
     mask = (1 << (8 * n_bytes)) - 1
     packed = np.frombuffer(
         b"".join((int(row, 16) & mask).to_bytes(n_bytes, "little") for row in rows),
         dtype=np.uint8,
-    ).reshape(len(rows), n_bytes)
-    visible = np.zeros((n, n), dtype=np.uint8)
-    visible[: len(rows)] = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-    return visible
+    ).reshape(n, n_bytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def injected_to_json(inj: InjectedSequence, sites_json: list[dict], label) -> dict:

@@ -233,6 +233,27 @@ def serialize_pair(
     left = serialize_entry(e1, store, mode, tokenizer, table=left_table)
     right = serialize_entry(e2, store, mode, tokenizer, table=right_table)
 
+    tokens, segments, sites = _join_truncated(left, right, max_len)
+    return InputSequence(
+        left=left,
+        right=right,
+        tokens=tokens,
+        segments=segments,
+        sites=sites,
+        mode=mode,
+        label=label,
+    )
+
+
+def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
+    """Tokens, segments and sites of ``[CLS] left [SEP] right [SEP]`` cut to
+    ``max_len``, in one pass.
+
+    Each dropped token is the last value token left on the side that is
+    longer at that moment (ties: left), or on the other side once that side
+    has no value tokens left. Sites whose head loses a token are dropped;
+    the others shift left by the number of tokens dropped before them.
+    """
     tokens = [CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID]
     sites = [
         InjectionSite((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
@@ -246,43 +267,46 @@ def serialize_pair(
         for s in right.sites
     ]
 
-    while len(tokens) > max_len:
-        first_sep = tokens.index(SEP_ID)
-        left_len = first_sep - 1
-        right_len = len(tokens) - first_sep - 2
-        left_values = _value_token_indices(tokens, 1, first_sep)
-        right_values = _value_token_indices(tokens, first_sep + 1, len(tokens) - 1)
-        if left_len >= right_len:
-            pool = left_values or right_values
-        else:
-            pool = right_values or left_values
-        if not pool:
+    excess = len(tokens) - max_len
+    n_left = len(left.tokens)
+    if excess > 0:
+        left_values = _value_token_indices(tokens, 1, right_base - 1)
+        right_values = _value_token_indices(tokens, right_base, len(tokens) - 1)
+        if excess > len(left_values) + len(right_values):
             raise SequenceOverflowError(
                 f"pair cannot fit into max_len={max_len} even with all values removed"
             )
-        drop = pool[-1]
-        tokens.pop(drop)
-        kept_sites = []
+        from_left = from_right = 0
+        left_len, right_len = n_left, len(right.tokens)
+        for _ in range(excess):
+            left_has = from_left < len(left_values)
+            right_has = from_right < len(right_values)
+            if (left_len >= right_len and left_has) or not right_has:
+                from_left += 1
+                left_len -= 1
+            else:
+                from_right += 1
+                right_len -= 1
+        dropped = [False] * len(tokens)
+        for i in left_values[len(left_values) - from_left :]:
+            dropped[i] = True
+        for i in right_values[len(right_values) - from_right :]:
+            dropped[i] = True
+        before = [0] * (len(tokens) + 1)  # before[i]: dropped indices < i
+        for i, gone in enumerate(dropped):
+            before[i + 1] = before[i] + gone
+        tokens = [tok for tok, gone in zip(tokens, dropped) if not gone]
+        kept = []
         for s in sites:
             start, end = s.head
-            if start <= drop < end:
-                continue  # head clipped by truncation: drop the site
-            if start > drop:
-                start, end = start - 1, end - 1
-            kept_sites.append(InjectionSite((start, end), s.knowledge, s.kind))
-        sites = kept_sites
+            if before[end] == before[start]:  # the head lost no token
+                shift = before[start]
+                kept.append(InjectionSite((start - shift, end - shift), s.knowledge, s.kind))
+        sites = kept
+        n_left -= from_left
 
-    first_sep = tokens.index(SEP_ID)
-    segments = [0] * (first_sep + 1) + [1] * (len(tokens) - first_sep - 1)
-    return InputSequence(
-        left=left,
-        right=right,
-        tokens=tuple(tokens),
-        segments=tuple(segments),
-        sites=tuple(sites),
-        mode=mode,
-        label=label,
-    )
+    segments = [0] * (n_left + 2) + [1] * (len(tokens) - n_left - 2)
+    return tuple(tokens), tuple(segments), tuple(sites)
 
 
 def pair_to_json(seq: InputSequence) -> dict:

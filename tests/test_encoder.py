@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,60 @@ class TestForward:
         batch = random_batch(config, np.random.default_rng(10))
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             forward(batch, params, config)
+
+
+class TestKernels:
+    @staticmethod
+    def pow_gelu(x):
+        u = enc._GELU_C * (x + enc._GELU_A * x ** 3)
+        return 0.5 * x * (1.0 + np.tanh(u))
+
+    @staticmethod
+    def pow_gelu_grad(x):
+        t = np.tanh(enc._GELU_C * (x + enc._GELU_A * x ** 3))
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * enc._GELU_C * (
+            1.0 + 3.0 * enc._GELU_A * x ** 2
+        )
+
+    def test_gelu_matches_pow_form(self):
+        x = np.random.default_rng(20).normal(size=(50, 40, 50))
+        t = enc._gelu_tanh(x, x * x)
+        for got, want in (
+            (enc._gelu(x), self.pow_gelu(x)),
+            (enc._gelu(x, t), self.pow_gelu(x)),
+            (enc._gelu_grad(x), self.pow_gelu_grad(x)),
+            (enc._gelu_grad(x, t), self.pow_gelu_grad(x)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mask", ["all_ones", "constrained"])
+    def test_forward_equals_forward_cache_bitwise(self, mask):
+        config = small_config()
+        params = init_params(config)
+        rng = np.random.default_rng(21)
+        visible = None
+        if mask == "constrained":
+            visible = (rng.random((3, 8, 8)) < 0.6).astype(float)
+            visible = np.maximum(visible, visible.transpose(0, 2, 1))
+            visible[:, np.arange(8), np.arange(8)] = 1.0
+            visible[2, 6:, :] = visible[2, :, 6:] = 0.0  # padding
+        batch = random_batch(config, rng, visible=visible)
+        probs, _ = enc._forward_cache(batch, params, config)
+        np.testing.assert_array_equal(forward(batch, params, config), probs)
+
+    def test_forward_peak_memory_keeps_no_layer_caches(self):
+        config = small_config(n_heads=4, max_position=256)
+        params = init_params(config)
+        b, l = 4, 256
+        batch = random_batch(config, np.random.default_rng(22), b=b, l=l)
+        one_weights = b * config.n_heads * l * l * 8
+        tracemalloc.start()
+        try:
+            forward(batch, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * one_weights, peak / one_weights
 
 
 class TestLoss:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from knowmatch.errors import DomainError, OverlapError, SequenceOverflowError
+from knowmatch.errors import DomainError, FormatError, OverlapError, SequenceOverflowError
 from knowmatch.injection import (
     Branch,
     InjectionTree,
@@ -300,3 +300,9 @@ class TestVisibleRowsPacking:
             ]
             assert pack_visible_rows(visible) == want
             assert (unpack_visible_rows(want, n) == visible).all()
+
+    @pytest.mark.parametrize("rows, n", [(["1"], 2), (["1", "2", "3"], 2), ([], 1)])
+    def test_row_count_mismatch_rejected(self, rows, n):
+        # A cut or padded batch line must not decode to tokens that see nothing.
+        with pytest.raises(FormatError):
+            unpack_visible_rows(rows, n)

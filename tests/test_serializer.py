@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowmatch.errors import (
     AnnotationMismatchError,
@@ -7,7 +11,11 @@ from knowmatch.errors import (
 )
 from knowmatch.knowledge import AnnotationStore, ColumnTypeAnnotation, EntityMention
 from knowmatch.serializer import (
+    InjectionSite,
     PromptMode,
+    TokenSeq,
+    _join_truncated,
+    _value_token_indices,
     build_vocab,
     pair_to_json,
     read_batch_file,
@@ -291,6 +299,96 @@ class TestSerializePair:
             e1, e2, AnnotationStore(), PromptMode.SPACE, tokenizer, 64, label=1
         )
         assert seq.label == 1
+
+
+def loop_truncate(left, right, max_len):
+    """The original drop-one-token-per-iteration truncation, kept as the
+    oracle for ``_join_truncated``."""
+    tokens = [CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID]
+    sites = [
+        InjectionSite((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
+        for s in left.sites
+    ]
+    right_base = 1 + len(left.tokens) + 1
+    sites += [
+        InjectionSite(
+            (s.head[0] + right_base, s.head[1] + right_base), s.knowledge, s.kind
+        )
+        for s in right.sites
+    ]
+    while len(tokens) > max_len:
+        first_sep = tokens.index(SEP_ID)
+        left_len = first_sep - 1
+        right_len = len(tokens) - first_sep - 2
+        left_values = _value_token_indices(tokens, 1, first_sep)
+        right_values = _value_token_indices(tokens, first_sep + 1, len(tokens) - 1)
+        if left_len >= right_len:
+            pool = left_values or right_values
+        else:
+            pool = right_values or left_values
+        if not pool:
+            raise SequenceOverflowError("values exhausted")
+        drop = pool[-1]
+        tokens.pop(drop)
+        kept_sites = []
+        for s in sites:
+            start, end = s.head
+            if start <= drop < end:
+                continue
+            if start > drop:
+                start, end = start - 1, end - 1
+            kept_sites.append(InjectionSite((start, end), s.knowledge, s.kind))
+        sites = kept_sites
+    first_sep = tokens.index(SEP_ID)
+    segments = [0] * (first_sep + 1) + [1] * (len(tokens) - first_sep - 1)
+    return tuple(tokens), tuple(segments), tuple(sites)
+
+
+@st.composite
+def entries(draw):
+    """A serialized entry: [COL] name.. [VAL] value.. per column, plus sites
+    on arbitrary spans of it."""
+    words = st.integers(min_value=6, max_value=40)
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        tokens += [COL_ID, *draw(st.lists(words, min_size=1, max_size=2))]
+        tokens += [VAL_ID, *draw(st.lists(words, max_size=12))]
+    sites = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=len(tokens)))
+        end = draw(st.integers(min_value=start, max_value=len(tokens)))
+        sites.append(InjectionSite((start, end), (7,), "entity"))
+    return TokenSeq(tuple(tokens), tuple(sites))
+
+
+class TestTruncation:
+    @settings(max_examples=300, deadline=None)
+    @given(left=entries(), right=entries(), cut=st.integers(min_value=-2, max_value=60))
+    def test_matches_loop_oracle(self, left, right, cut):
+        max_len = max(8, len(left.tokens) + len(right.tokens) + 3 - cut)
+        try:
+            want = loop_truncate(left, right, max_len)
+        except SequenceOverflowError:
+            with pytest.raises(SequenceOverflowError):
+                _join_truncated(left, right, max_len)
+            return
+        assert _join_truncated(left, right, max_len) == want
+
+    def test_long_cells_are_linear(self):
+        # 2,000 value tokens a side: the per-token loop took about 0.9 s.
+        left = make_table("tableA", ("a",), [(" ".join(f"l{i}" for i in range(2000)),)])
+        right = make_table("tableB", ("a",), [(" ".join(f"r{i}" for i in range(2000)),)])
+        tokenizer = build_vocab([left, right])
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            seq = serialize_pair(
+                left.rows[0], right.rows[0], AnnotationStore(), PromptMode.SPACE,
+                tokenizer, 512,
+            )
+            best = min(best, time.perf_counter() - start)
+        assert len(seq.tokens) == 512
+        assert best < 0.25, best
 
 
 class TestBatchIO:
