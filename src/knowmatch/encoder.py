@@ -62,60 +62,45 @@ class EncoderConfig:
         return cls(**d)
 
 
-def param_names(config: EncoderConfig) -> list[str]:
-    """Declared parameter order (used by checkpoints and the optimizer)."""
-    names = ["tok_emb", "pos_emb", "seg_emb", "emb_ln_g", "emb_ln_b"]
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Declared parameter order and shapes (used by init and checkpoints)."""
+    d, ff = config.d_model, config.d_ff
+    shapes = {
+        "tok_emb": (config.vocab_size, d),
+        "pos_emb": (config.max_position, d),
+        "seg_emb": (2, d),
+        "emb_ln_g": (d,),
+        "emb_ln_b": (d,),
+    }
+    layer = {
+        "wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,),
+        "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,),
+        "ln1_g": (d,), "ln1_b": (d,), "w1": (d, ff), "b1": (ff,),
+        "w2": (ff, d), "b2": (d,), "ln2_g": (d,), "ln2_b": (d,),
+    }
     for i in range(config.n_layers):
-        for suffix in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b",
-        ):
-            names.append(f"l{i}.{suffix}")
-    names += ["cls_w", "cls_b"]
-    return names
+        shapes.update({f"l{i}.{suffix}": shape for suffix, shape in layer.items()})
+    shapes["cls_w"] = (d, 2)
+    shapes["cls_b"] = (2,)
+    return shapes
 
 
 def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
-    """Seeded init: Glorot-scaled projection/FFN weights, 0.02-std embedding
-    tables (the embedding layer-norm rescales them anyway), layer-norm gains
-    1, biases 0."""
+    """Seeded init, drawn in declared order: 0.02-std embedding tables (the
+    embedding layer-norm rescales them anyway), Glorot-scaled projection,
+    FFN and head weights, layer-norm gains 1, biases 0."""
     rng = np.random.default_rng(config.seed)
-    d, ff = config.d_model, config.d_ff
-    dt = config.np_dtype
-
-    def emb(*shape):
-        return rng.normal(0.0, 0.02, size=shape).astype(dt)
-
-    def glorot(n_in, n_out):
-        std = math.sqrt(2.0 / (n_in + n_out))
-        return rng.normal(0.0, std, size=(n_in, n_out)).astype(dt)
-
-    params: dict[str, np.ndarray] = {
-        "tok_emb": emb(config.vocab_size, d),
-        "pos_emb": emb(config.max_position, d),
-        "seg_emb": emb(2, d),
-        "emb_ln_g": np.ones(d, dtype=dt),
-        "emb_ln_b": np.zeros(d, dtype=dt),
-    }
-    for i in range(config.n_layers):
-        params[f"l{i}.wq"] = glorot(d, d)
-        params[f"l{i}.bq"] = np.zeros(d, dtype=dt)
-        params[f"l{i}.wk"] = glorot(d, d)
-        params[f"l{i}.bk"] = np.zeros(d, dtype=dt)
-        params[f"l{i}.wv"] = glorot(d, d)
-        params[f"l{i}.bv"] = np.zeros(d, dtype=dt)
-        params[f"l{i}.wo"] = glorot(d, d)
-        params[f"l{i}.bo"] = np.zeros(d, dtype=dt)
-        params[f"l{i}.ln1_g"] = np.ones(d, dtype=dt)
-        params[f"l{i}.ln1_b"] = np.zeros(d, dtype=dt)
-        params[f"l{i}.w1"] = glorot(d, ff)
-        params[f"l{i}.b1"] = np.zeros(ff, dtype=dt)
-        params[f"l{i}.w2"] = glorot(ff, d)
-        params[f"l{i}.b2"] = np.zeros(d, dtype=dt)
-        params[f"l{i}.ln2_g"] = np.ones(d, dtype=dt)
-        params[f"l{i}.ln2_b"] = np.zeros(d, dtype=dt)
-    params["cls_w"] = glorot(d, 2)
-    params["cls_b"] = np.zeros(2, dtype=dt)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith("_emb"):
+            arr = rng.normal(0.0, 0.02, size=shape)
+        elif name.endswith("_g"):
+            arr = np.ones(shape)
+        elif len(shape) == 2:
+            arr = rng.normal(0.0, math.sqrt(2.0 / sum(shape)), size=shape)
+        else:
+            arr = np.zeros(shape)
+        params[name] = arr.astype(config.np_dtype)
     return params
 
 
@@ -551,7 +536,7 @@ def save_checkpoint(
     vocab_hash: str | None = None,
 ) -> None:
     """Write a self-describing checkpoint: JSON header line + raw arrays."""
-    order = param_names(config)
+    order = param_shapes(config)
     header = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
@@ -566,23 +551,34 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
-    """Read a checkpoint back: (params, config, seed, header)."""
+    """Read a checkpoint back: (params, config, seed, header). The header's
+    parameter list must be exactly the config's, and no bytes may follow
+    the last array."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: bad checkpoint header") from exc
-        if header.get("version") != CHECKPOINT_VERSION:
+        if not isinstance(header, dict) or header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version")
-        config = EncoderConfig.from_dict(header["config"])
+        try:
+            config = EncoderConfig.from_dict(header["config"])
+            seed = int(header["seed"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
+        shapes = param_shapes(config)
+        if header.get("params") != [
+            {"name": name, "shape": list(shape)} for name, shape in shapes.items()
+        ]:
+            raise FormatError(f"{path}: parameter list does not match the config")
         params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in shapes.items():
+            count = math.prod(shape)
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise FormatError(f"{path}: truncated checkpoint")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(config.np_dtype)
-            params[entry["name"]] = arr
-    return params, config, int(header["seed"]), header
+            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(config.np_dtype)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last array")
+    return params, config, seed, header

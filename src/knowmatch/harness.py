@@ -32,7 +32,7 @@ from .errors import (
     IncompatibleArtifactsError,
     NumericalError,
 )
-from .injection import assemble, injected_to_json, unpack_visible_rows
+from .injection import Branch, InjectionTree, build_injection_tree, check_length, expand
 from .knowledge import (
     AnnotationStore,
     Gazetteer,
@@ -254,11 +254,9 @@ def run_prepare(config: RunConfig) -> dict:
                 left_table=left.name,
                 right_table=right.name,
             )
-            if mode is PromptMode.CONSTRAINED:
-                inj = assemble(seq, config.max_len)
-                lines.append(injected_to_json(inj, pair_to_json(seq)["sites"], pair.label))
-            else:
-                lines.append(pair_to_json(seq))
+            if seq.sites:
+                check_length(build_injection_tree(seq), config.max_len)
+            lines.append(pair_to_json(seq))
         write_batch_file(out_dir / "batches" / f"{split}.jsonl", lines)
         counts[split] = len(lines)
 
@@ -281,13 +279,28 @@ def run_prepare(config: RunConfig) -> dict:
 
 
 def _line_to_sequence(line: dict) -> tuple:
-    tokens = line["tokens"]
-    n = len(tokens)
-    soft = line.get("soft_pos")
-    visible = None
-    if "visible_rows" in line:
-        visible = unpack_visible_rows(line["visible_rows"], n)
-    return (tokens, soft, line["segments"], visible, line.get("label"))
+    """Decode a batch line to (tokens, soft_positions, segments, visible,
+    label). A line with sites is expanded into its injected sequence; one
+    without keeps hard positions and full visibility (both None)."""
+    if "soft_pos" in line or "visible_rows" in line:
+        raise FormatError(
+            "batch line in the old constrained format (soft_pos/visible_rows); "
+            "re-run prepare"
+        )
+    tokens, segments, label = line["tokens"], line["segments"], line.get("label")
+    if len(segments) != len(tokens):
+        raise FormatError(f"{len(segments)} segments for {len(tokens)} tokens")
+    if not line.get("sites"):
+        return (tokens, None, segments, None, label)
+    try:
+        branches = tuple(
+            Branch(tuple(site["head"]), tuple(site["know"])) for site in line["sites"]
+        )
+        tree = InjectionTree(tuple(tokens), branches)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad injection site in batch line: {exc}") from exc
+    inj = expand(tree, segments)
+    return (inj.tokens, inj.soft_positions, inj.segments, inj.visible, label)
 
 
 def _batches_of(seqs, order, batch_size, dtype):
@@ -312,7 +325,7 @@ def run_train(config: RunConfig) -> dict:
     train_path = out_dir / "batches" / "train.jsonl"
     if not train_path.exists():
         raise FileNotFoundError(str(train_path))
-    # Decoded once: the visibility rows are not re-parsed every epoch.
+    # Decoded once: constrained lines are not re-expanded every epoch.
     seqs = [_line_to_sequence(line) for line in read_batch_file(train_path)]
     tokenizer = Tokenizer.load(out_dir / "vocab.tsv")
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FormatError, OverlapError, SequenceOverflowError
+from .errors import DomainError, OverlapError, SequenceOverflowError
 from .serializer import InputSequence, PromptMode, TokenSeq
 
 
@@ -34,7 +34,6 @@ class InjectionTree:
     branches: tuple[Branch, ...]
 
     def __post_init__(self) -> None:
-        spans = []
         for br in self.branches:
             start, end = br.head
             if not (0 <= start < end <= len(self.trunk)):
@@ -42,13 +41,12 @@ class InjectionTree:
                     f"branch head [{start},{end}) out of bounds for trunk "
                     f"of length {len(self.trunk)}"
                 )
-            spans.append((start, end))
-        for (s1, e1) in spans:
-            for (s2, e2) in spans:
-                if (s1, e1) < (s2, e2) and s1 < e2 and s2 < e1:
-                    raise OverlapError(
-                        f"branch heads [{s1},{e1}) and [{s2},{e2}) overlap"
-                    )
+        # Sorted by start, any two intersecting heads make some adjacent pair
+        # intersect; identical heads count as intersecting.
+        spans = sorted(br.head for br in self.branches)
+        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
+            if s2 < e1:
+                raise OverlapError(f"branch heads [{s1},{e1}) and [{s2},{e2}) overlap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,20 +81,19 @@ class _Layout(NamedTuple):
 def _flat_layout(tree: InjectionTree) -> _Layout:
     """Walk the tree once in flat order.
 
-    Branch tokens sit immediately after the last token of their head span;
-    branches anchored at the same point (only possible with identical heads,
-    which validation rejects) would keep declaration order.
+    Branch tokens sit immediately after the last token of their head span.
+    Validation rejects intersecting heads, so no two branches share that
+    anchor.
     """
-    by_anchor: dict[int, list[int]] = {}
-    for bi, br in enumerate(tree.branches):
-        by_anchor.setdefault(br.head[1] - 1, []).append(bi)
+    by_anchor = {br.head[1] - 1: bi for bi, br in enumerate(tree.branches)}
     layout = _Layout([], [], [], [])
     for i, tok in enumerate(tree.trunk):
         layout.tokens.append(tok)
         layout.soft.append(i)
         layout.owner.append(-1)
         layout.anchor.append(i)
-        for bi in by_anchor.get(i, ()):
+        bi = by_anchor.get(i)
+        if bi is not None:
             know = tree.branches[bi].knowledge
             layout.tokens.extend(know)
             layout.soft.extend(range(i + 1, i + 1 + len(know)))
@@ -106,7 +103,7 @@ def _flat_layout(tree: InjectionTree) -> _Layout:
 
 
 def _trunk_mask(layout: _Layout) -> tuple[int, ...]:
-    return tuple(int(b < 0) for b in layout.owner)
+    return tuple([1 if b < 0 else 0 for b in layout.owner])
 
 
 def flatten_with_soft_positions(
@@ -156,58 +153,30 @@ def build_visible_matrix(tree: InjectionTree, flat_len: int) -> np.ndarray:
     return _visible_matrix(tree, layout)
 
 
-def assemble(pair: InputSequence, max_len: int) -> InjectedSequence:
-    """Expand a constrained-mode pair into its injected sequence.
+def check_length(tree: InjectionTree, max_len: int) -> None:
+    """Injection never truncates knowledge: an over-budget tree is an error."""
+    n = len(tree.trunk) + sum(len(br.knowledge) for br in tree.branches)
+    if n > max_len:
+        raise SequenceOverflowError(f"injected length {n} exceeds max_len {max_len}")
 
-    Branch tokens inherit the segment of their head's last token. Injection
-    never truncates knowledge: an over-budget result is an error.
-    """
-    if pair.mode is not PromptMode.CONSTRAINED:
-        raise DomainError(f"assemble requires constrained mode, got {pair.mode}")
-    tree = build_injection_tree(pair)
+
+def expand(tree: InjectionTree, segments: Sequence[int]) -> InjectedSequence:
+    """Flatten a tree whose trunk has the given segment ids. Branch tokens
+    inherit the segment of their head's last token."""
     layout = _flat_layout(tree)
-    if len(layout.tokens) > max_len:
-        raise SequenceOverflowError(
-            f"injected length {len(layout.tokens)} exceeds max_len {max_len}"
-        )
     return InjectedSequence(
         tokens=tuple(layout.tokens),
         soft_positions=tuple(layout.soft),
         visible=_visible_matrix(tree, layout),
-        segments=tuple(pair.segments[a] for a in layout.anchor),
+        segments=tuple([segments[a] for a in layout.anchor]),
         trunk_mask=_trunk_mask(layout),
     )
 
 
-def pack_visible_rows(visible: np.ndarray) -> list[str]:
-    """Encode each row as hex: bit j of row i (little-endian) is V[i][j]."""
-    width = max(1, (visible.shape[0] + 3) // 4)
-    packed = np.packbits(visible, axis=1, bitorder="little")
-    return [format(int.from_bytes(row.tobytes(), "little"), f"0{width}x") for row in packed]
-
-
-def unpack_visible_rows(rows: Sequence[str], n: int) -> np.ndarray:
-    """Inverse of :func:`pack_visible_rows`. Raises ``FormatError`` unless
-    there is exactly one row per token."""
-    if len(rows) != n:
-        raise FormatError(f"{len(rows)} visibility rows for {n} tokens")
-    n_bytes = (n + 7) // 8
-    mask = (1 << (8 * n_bytes)) - 1
-    packed = np.frombuffer(
-        b"".join((int(row, 16) & mask).to_bytes(n_bytes, "little") for row in rows),
-        dtype=np.uint8,
-    ).reshape(n, n_bytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
-
-
-def injected_to_json(inj: InjectedSequence, sites_json: list[dict], label) -> dict:
-    """Injected-batch line: the serialized line plus soft positions and
-    visibility rows. ``tokens``/``segments`` describe the flat sequence."""
-    return {
-        "tokens": list(inj.tokens),
-        "segments": list(inj.segments),
-        "sites": sites_json,
-        "label": label,
-        "soft_pos": list(inj.soft_positions),
-        "visible_rows": pack_visible_rows(inj.visible),
-    }
+def assemble(pair: InputSequence, max_len: int) -> InjectedSequence:
+    """Expand a constrained-mode pair into its injected sequence."""
+    if pair.mode is not PromptMode.CONSTRAINED:
+        raise DomainError(f"assemble requires constrained mode, got {pair.mode}")
+    tree = build_injection_tree(pair)
+    check_length(tree, max_len)
+    return expand(tree, pair.segments)

@@ -310,7 +310,8 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
 
 
 def pair_to_json(seq: InputSequence) -> dict:
-    """Serialized-batch line for one pair (template modes)."""
+    """Batch line for one pair, in every mode. Constrained-mode ``tokens``
+    are the trunk; its sites are expanded when the line is loaded."""
     return {
         "tokens": list(seq.tokens),
         "segments": list(seq.segments),

@@ -122,6 +122,26 @@ class TestPipeline:
         header = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)[0]
         assert json.loads(header)["seed"] == 77
 
+    @pytest.mark.parametrize("damage", ["trailing-bytes", "missing-param", "unknown-config-key"])
+    def test_eval_bad_checkpoint_exit_2(self, synth_dir, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        flags = ("--profile", "desk", "--data_dir", str(synth_dir), "--out_dir", str(out), "--epochs", "0")
+        assert run_cli(capsys, "prepare", *flags)[0] == 0
+        assert run_cli(capsys, "train", *flags)[0] == 0
+        header_line, body = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if damage == "trailing-bytes":
+            body += b"\x00" * 8
+        elif damage == "missing-param":
+            header["params"].pop()
+        else:
+            header["config"]["colour"] = "blue"
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        code, _, err = run_cli(capsys, "eval", *flags, "--checkpoint", str(bad))
+        assert code == 2
+        assert "data error" in err
+
     def test_numerical_error_exit_3(self, synth_dir, tmp_path, capsys, monkeypatch):
         def explode(config):
             raise NumericalError("boom")

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from knowmatch.encoder import (
     loss,
     loss_and_gradients,
     masked_attention,
-    param_names,
+    param_shapes,
     save_checkpoint,
     train_step,
 )
@@ -443,7 +444,7 @@ class TestCheckpoint:
         assert seed == 42
         assert header["vocab_hash"] == "abc"
         assert header["version"] == 1
-        for name in param_names(config):
+        for name in param_shapes(config):
             np.testing.assert_array_equal(loaded[name], params[name])
 
     def test_truncated_rejected(self, tmp_path):
@@ -459,6 +460,38 @@ class TestCheckpoint:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(b"\x00\x01\x02\n")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite(path, edit_header=None, tail=b""):
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if edit_header is not None:
+            edit_header(header)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body + tail)
+
+    @pytest.mark.parametrize(
+        "edit_header, tail",
+        [
+            (None, b"\x00"),
+            (lambda h: h["params"].pop(), b""),
+            (lambda h: h["params"].reverse(), b""),
+            (lambda h: h["params"][0].update(shape=[16, 32]), b""),
+            (lambda h: h["config"].update(colour="blue"), b""),
+            (lambda h: h["config"].pop("vocab_size"), b""),
+            (lambda h: h.pop("seed"), b""),
+        ],
+        ids=[
+            "trailing-bytes", "missing-param", "reordered-params", "wrong-shape",
+            "unknown-config-key", "missing-config-key", "missing-seed",
+        ],
+    )
+    def test_malformed_rejected(self, tmp_path, edit_header, tail):
+        config = small_config()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(config), config, seed=0)
+        self._rewrite(path, edit_header, tail)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -11,18 +11,23 @@ from knowmatch.errors import (
     DomainError,
     FormatError,
     IncompatibleArtifactsError,
+    OverlapError,
+    SequenceOverflowError,
 )
 from knowmatch.harness import (
     DESK_PROFILE,
     Metrics,
     RunConfig,
+    _line_to_sequence,
+    build_annotations,
     compare,
     evaluate,
     resolve_config,
     run_prepare,
     run_train,
 )
-from knowmatch.serializer import read_batch_file
+from knowmatch.injection import assemble
+from knowmatch.serializer import PromptMode, read_batch_file, serialize_pair
 from knowmatch.synth import SyntheticSpec, generate_synthetic, write_synthetic
 from knowmatch.tabular import load_pairs, load_table
 from knowmatch.text import Tokenizer, tokenize
@@ -139,10 +144,47 @@ class TestPrepare:
         run_prepare(config)
         lines = read_batch_file(tmp_path / "out" / "batches" / "test.jsonl")
         for line in lines:
-            assert "soft_pos" in line and "visible_rows" in line
-            assert len(line["soft_pos"]) == len(line["tokens"])
-            assert len(line["visible_rows"]) == len(line["tokens"])
+            assert set(line) == {"tokens", "segments", "sites", "label"}
+            assert len(line["segments"]) == len(line["tokens"])
             assert line["sites"]
+
+    def test_constrained_lines_expand_like_assemble(self, small_dataset, tmp_path):
+        # The stored trunk and sites decode to exactly the injected sequence
+        # that assemble builds from the serialized pair.
+        out = tmp_path / "out"
+        config = desk_config(
+            small_dataset, out, prompt_mode="constrained",
+            annotations=str(small_dataset / "gold_annotations.jsonl"),
+        )
+        manifest = run_prepare(config)
+        left = load_table(small_dataset / "tableA.csv")
+        right = load_table(small_dataset / "tableB.csv")
+        store = build_annotations(
+            (left, right), config.use_rule_typer, config.gazetteer,
+            config.annotations, config.ditto_mode,
+        )
+        tokenizer = Tokenizer.load(out / "vocab.tsv")
+        checked = 0
+        for split in manifest["splits"]:
+            pairs = load_pairs(small_dataset / f"{split}.csv", left, right, split=split).pairs
+            lines = read_batch_file(out / "batches" / f"{split}.jsonl")
+            assert len(lines) == len(pairs)
+            for pair, line in zip(pairs, lines):
+                seq = serialize_pair(
+                    left.row(pair.left_id), right.row(pair.right_id), store,
+                    PromptMode.CONSTRAINED, tokenizer, config.max_len,
+                    label=pair.label, left_table=left.name, right_table=right.name,
+                )
+                inj = assemble(seq, config.max_len)
+                tokens, soft, segments, visible, label = _line_to_sequence(line)
+                assert tuple(tokens) == inj.tokens
+                assert tuple(soft) == inj.soft_positions
+                assert tuple(segments) == inj.segments
+                assert visible.dtype == inj.visible.dtype
+                np.testing.assert_array_equal(visible, inj.visible)
+                assert label == pair.label
+                checked += 1
+        assert checked == sum(manifest["splits"].values()) > 0
 
     def test_rerun_byte_identical(self, small_dataset, tmp_path):
         config = desk_config(
@@ -180,9 +222,9 @@ class TestPrepare:
             "valid.jsonl": "cabdef7523b6e9c1861933e9dedae7321ed42e29d7f55fe740df0656f1d36c9a",
         },
         "constrained": {
-            "test.jsonl": "3853795e78b98ca07defb63435fde27af459ec2797a65e4b2f587df915eec524",
-            "train.jsonl": "18bd3bade7f1869aabc172503c0260d1c189bea654e1e157118d6370add177bc",
-            "valid.jsonl": "2c215f9a98697e0df5e1f3a2618f7fe845f80b2a1302c3c9b8532e292b770120",
+            "test.jsonl": "bd62b7d5065acf4199dc300932db2b673898fa4a4c1f0d270c487a87597de505",
+            "train.jsonl": "0dcb9c38c001eaa6b6e9efa8de17635e7a7915736acdd01dd02911989e612729",
+            "valid.jsonl": "220d02bc2f4d27d970469a2a706018d931670132b66ab95fe75b7853f9a2fdd1",
         },
     }
 
@@ -259,6 +301,88 @@ class TestPrepare:
         column_labels = [tokenizer.decode(s["know"]) for s in sites if s["kind"] == "column"]
         assert entity_labels and all(label == ["product"] for label in entity_labels)
         assert column_labels and all(label == ["name"] for label in column_labels)
+
+
+class TestBatchLines:
+    LINE = {"tokens": [0, 7, 8, 9, 1], "segments": [0, 0, 0, 0, 0], "label": 1}
+
+    def test_line_without_sites_is_fully_visible(self):
+        line = dict(self.LINE, sites=[])
+        assert _line_to_sequence(line) == (line["tokens"], None, line["segments"], None, 1)
+
+    def test_line_with_sites_is_expanded(self):
+        line = dict(self.LINE, sites=[{"head": [2, 3], "know": [40, 41], "kind": "entity"}])
+        tokens, soft, segments, visible, label = _line_to_sequence(line)
+        assert tokens == (0, 7, 8, 40, 41, 9, 1)
+        assert soft == (0, 1, 2, 3, 4, 3, 4)
+        assert segments == (0,) * 7
+        assert visible[3].tolist() == [0, 0, 1, 1, 1, 0, 0]
+        assert label == 1
+
+    @pytest.mark.parametrize("key", ["soft_pos", "visible_rows"])
+    def test_old_constrained_format_rejected(self, key):
+        line = dict(self.LINE, sites=[], **{key: []})
+        with pytest.raises(FormatError, match="re-run prepare"):
+            _line_to_sequence(line)
+
+    def test_segment_count_mismatch_rejected(self):
+        line = dict(self.LINE, segments=[0, 0, 0], sites=[])
+        with pytest.raises(FormatError):
+            _line_to_sequence(line)
+
+    @pytest.mark.parametrize(
+        "head, error",
+        [
+            ([3, 9], DomainError),
+            ([-1, 2], DomainError),
+            ([2], FormatError),
+            (["a", 2], FormatError),
+            (None, FormatError),
+        ],
+    )
+    def test_bad_site_head_rejected(self, head, error):
+        line = dict(self.LINE, sites=[{"head": head, "know": [40], "kind": "entity"}])
+        # Both are KnowmatchErrors, so the CLI exits 2.
+        with pytest.raises(error):
+            _line_to_sequence(line)
+
+    def test_identical_site_heads_rejected(self):
+        site = {"head": [1, 3], "know": [40], "kind": "entity"}
+        with pytest.raises(OverlapError):
+            _line_to_sequence(dict(self.LINE, sites=[site, site]))
+
+    def test_prepare_rejects_injected_overflow(self, small_dataset, tmp_path):
+        # At max_len 20 every trunk fits, but trunk plus branches does not.
+        run_prepare(desk_config(small_dataset, tmp_path / "trunk", max_len=20))
+        config = desk_config(
+            small_dataset, tmp_path / "out", prompt_mode="constrained", max_len=20,
+            annotations=str(small_dataset / "gold_annotations.jsonl"),
+        )
+        with pytest.raises(SequenceOverflowError, match="injected length"):
+            run_prepare(config)
+
+    def test_prepare_builds_no_visibility_matrix(self, small_dataset, tmp_path, monkeypatch):
+        import knowmatch.injection as injection_module
+
+        def forbidden(*args):
+            raise AssertionError("prepare built a visibility matrix")
+
+        monkeypatch.setattr(injection_module, "_visible_matrix", forbidden)
+        run_prepare(desk_config(
+            small_dataset, tmp_path / "out", prompt_mode="constrained",
+            annotations=str(small_dataset / "gold_annotations.jsonl"),
+        ))
+
+    def test_evaluate_rejects_old_format_batches(self, small_dataset, tmp_path):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        run_train(config)
+        path = tmp_path / "out" / "batches" / "test.jsonl"
+        lines = read_batch_file(path)
+        lines[0]["visible_rows"] = ["1"] * len(lines[0]["tokens"])
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(FormatError, match="re-run prepare"):
+            evaluate(config, "test")
 
 
 class TestTrainEvaluate:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from knowmatch.errors import DomainError, FormatError, OverlapError, SequenceOverflowError
+from knowmatch.errors import DomainError, OverlapError, SequenceOverflowError
 from knowmatch.injection import (
     Branch,
     InjectionTree,
@@ -11,8 +11,6 @@ from knowmatch.injection import (
     build_injection_tree,
     build_visible_matrix,
     flatten_with_soft_positions,
-    pack_visible_rows,
-    unpack_visible_rows,
 )
 from knowmatch.knowledge import AnnotationStore, EntityMention
 from knowmatch.serializer import (
@@ -102,6 +100,30 @@ class TestInjectionTree:
     def test_overlapping_heads_rejected(self):
         with pytest.raises(OverlapError):
             InjectionTree(trunk=(1, 2, 3, 4), branches=(Branch((0, 2), (9,)), Branch((1, 3), (9,))))
+
+    def test_identical_heads_rejected(self):
+        with pytest.raises(OverlapError):
+            InjectionTree(trunk=(1, 2, 3, 4), branches=(Branch((1, 3), (9,)), Branch((1, 3), (8,))))
+
+    def test_overlap_rule_matches_pairwise_check(self):
+        # Heads declared in any order: rejected iff some two intersect.
+        rng = random.Random(4)
+        for _ in range(300):
+            heads = []
+            for _ in range(rng.randint(0, 4)):
+                start = rng.randint(0, 9)
+                heads.append((start, start + rng.randint(1, 3)))
+            clash = any(
+                s1 < e2 and s2 < e1
+                for i, (s1, e1) in enumerate(heads)
+                for (s2, e2) in heads[i + 1 :]
+            )
+            branches = tuple(Branch(h, (9,)) for h in heads)
+            if clash:
+                with pytest.raises(OverlapError):
+                    InjectionTree(trunk=tuple(range(12)), branches=branches)
+            else:
+                InjectionTree(trunk=tuple(range(12)), branches=branches)
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(DomainError):
@@ -273,36 +295,3 @@ class TestAssemble:
             )
         ]
         assert tuple(recovered) == pair.tokens
-
-
-class TestVisibleRowsPacking:
-    def test_roundtrip(self):
-        rng = random.Random(2)
-        for _ in range(20):
-            tree = random_tree(rng, max_trunk=20)
-            tokens, _, _ = flatten_with_soft_positions(tree)
-            visible = build_visible_matrix(tree, len(tokens))
-            rows = pack_visible_rows(visible)
-            assert (unpack_visible_rows(rows, len(tokens)) == visible).all()
-
-    def test_known_encoding(self):
-        visible = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        assert pack_visible_rows(visible) == ["1", "2"]
-        # Random matrices across byte boundaries and at max_len 512, against
-        # the format spelled out: bit j of row i is V[i][j], zero-padded hex.
-        rng = np.random.default_rng(3)
-        for n in [*range(71), 512]:
-            visible = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-            width = max(1, (n + 3) // 4)
-            want = [
-                format(sum(int(visible[i, j]) << j for j in range(n)), f"0{width}x")
-                for i in range(n)
-            ]
-            assert pack_visible_rows(visible) == want
-            assert (unpack_visible_rows(want, n) == visible).all()
-
-    @pytest.mark.parametrize("rows, n", [(["1"], 2), (["1", "2", "3"], 2), ([], 1)])
-    def test_row_count_mismatch_rejected(self, rows, n):
-        # A cut or padded batch line must not decode to tokens that see nothing.
-        with pytest.raises(FormatError):
-            unpack_visible_rows(rows, n)
