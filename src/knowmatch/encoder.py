@@ -23,6 +23,10 @@ from .errors import DomainError, FormatError, NumericalError
 MASK_VALUE = -1e9
 LN_EPS = 1e-5
 CHECKPOINT_VERSION = 1
+# Evaluation runs the layer stack on row chunks of the batch whose
+# (rows, H, L, L) attention scores fit in this many bytes: 2 rows at
+# L=512 with 4 heads in float64, the whole batch at short lengths.
+ATTN_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,8 @@ def _mask_bias(visible):
 def _attention_block(x, bias, params, prefix, config, attn_dropout_mask=None):
     """One attention sub-block: projections, masked softmax, residual, LN.
 
-    ``bias`` is ``_mask_bias(visible)``, built once per forward pass.
+    ``bias`` is ``_mask_bias(visible)``, built once per forward pass (once
+    per row chunk in ``forward``).
     """
     h = config.n_heads
     scale = 1.0 / math.sqrt(config.head_dim)
@@ -307,13 +312,12 @@ def _ffn_block(x, params, prefix):
     return out, {"x": x, "h1": h1, "t": t, "a": a, "ln": ln_cache}
 
 
-def _classify(x, params):
-    """[CLS] hidden state and class probabilities of the final layer output."""
-    h_cls = x[:, 0, :]
+def _classify(h_cls, params):
+    """Class probabilities (B, 2) of the final layer's [CLS] states (B, d)."""
     probs = _softmax(h_cls @ params["cls_w"] + params["cls_b"])
     if not np.isfinite(probs).all():
         raise NumericalError("non-finite activations in forward pass")
-    return h_cls, probs
+    return probs
 
 
 def _forward_cache(batch, params, config, training=False, dropout_rng=None):
@@ -343,7 +347,8 @@ def _forward_cache(batch, params, config, training=False, dropout_rng=None):
         x, ffn_cache = _ffn_block(x, params, f"l{i}")
         layer_caches.append((attn_cache, ffn_cache))
 
-    h_cls, probs = _classify(x, params)
+    h_cls = x[:, 0, :]
+    probs = _classify(h_cls, params)
     cache = {
         "emb_ln": emb_ln_cache, "emb_mask": emb_mask, "layers": layer_caches,
         "h_cls": h_cls, "probs": probs,
@@ -354,16 +359,31 @@ def _forward_cache(batch, params, config, training=False, dropout_rng=None):
 def forward(batch: Batch, params: dict, config: EncoderConfig) -> np.ndarray:
     """Class probabilities (B, 2); rows sum to 1. Evaluation mode.
 
-    Keeps no backward caches: each layer's (B, H, L, L) attention weights
-    are freed as soon as its attention block returns.
+    Keeps no backward caches, and runs the embedding and the layer stack on
+    row chunks of the batch sized by ``ATTN_CHUNK_BYTES``: only one chunk's
+    (rows, H, L, L) attention scores and mask bias are alive at a time, not
+    the batch's. Pairs never attend across rows, so this is exact. The
+    chunks' [CLS] states are gathered and classified in one matmul, so the
+    result does not depend on the chunk size.
     """
-    x, _ = _embed_cache(batch, params, config)
-    bias = _mask_bias(batch.visible)
-    for i in range(config.n_layers):
-        # [0]: the block's cache is dropped at once, not held through the next block.
-        x = _attention_block(x, bias, params, f"l{i}", config)[0]
-        x = _ffn_block(x, params, f"l{i}")[0]
-    return _classify(x, params)[1]
+    b, l = batch.token_ids.shape
+    itemsize = np.dtype(config.np_dtype).itemsize
+    rows = max(1, ATTN_CHUNK_BYTES // (config.n_heads * l * l * itemsize))
+    h_cls = np.empty((b, config.d_model), dtype=config.np_dtype)
+    for start in range(0, b, rows):
+        part = slice(start, start + rows)
+        chunk = Batch(
+            batch.token_ids[part], batch.soft_positions[part],
+            batch.segments[part], batch.visible[part], None,
+        )
+        x, _ = _embed_cache(chunk, params, config)
+        bias = _mask_bias(chunk.visible)
+        for i in range(config.n_layers):
+            # [0]: the block's cache is dropped at once, not held through the next block.
+            x = _attention_block(x, bias, params, f"l{i}", config)[0]
+            x = _ffn_block(x, params, f"l{i}")[0]
+        h_cls[part] = x[:, 0, :]
+    return _classify(h_cls, params)
 
 
 def loss(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -280,14 +280,17 @@ def run_prepare(config: RunConfig) -> dict:
 
 def _line_to_sequence(line: dict) -> tuple:
     """Decode a batch line to (tokens, soft_positions, segments, visible,
-    label). A line with sites is expanded into its injected sequence; one
-    without keeps hard positions and full visibility (both None)."""
+    label). The label must be 0 or 1. A line with sites is expanded into its
+    injected sequence; one without keeps hard positions and full visibility
+    (both None)."""
     if "soft_pos" in line or "visible_rows" in line:
         raise FormatError(
             "batch line in the old constrained format (soft_pos/visible_rows); "
             "re-run prepare"
         )
     tokens, segments, label = line["tokens"], line["segments"], line.get("label")
+    if label not in (0, 1):
+        raise FormatError(f"batch line label must be 0 or 1, got {label!r}")
     if len(segments) != len(tokens):
         raise FormatError(f"{len(segments)} segments for {len(tokens)} tokens")
     if not line.get("sites"):
@@ -390,6 +393,12 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
     """Evaluate the trained checkpoint on one prepared split (0.5 threshold)."""
     out_dir = Path(config.out_dir)
     manifest = _read_manifest(out_dir)
+    for key, value in (("prompt_mode", config.mode.value), ("max_len", config.max_len)):
+        if manifest.get(key) != value:
+            raise IncompatibleArtifactsError(
+                f"{out_dir} was prepared with {key}={manifest.get(key)!r}, "
+                f"not {value!r}; re-run prepare"
+            )
     if split not in manifest["splits"]:
         raise FileNotFoundError(f"split {split!r} was not prepared in {out_dir}")
     checkpoint = Path(checkpoint) if checkpoint else out_dir / "checkpoint.bin"

@@ -142,6 +142,16 @@ class TestPipeline:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize("flag", [("--mode", "slash"), ("--max_len", "64")])
+    def test_eval_config_differing_from_prepare_exit_2(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        flags = ("--profile", "desk", "--data_dir", str(synth_dir), "--out_dir", str(out), "--epochs", "0")
+        assert run_cli(capsys, "prepare", *flags)[0] == 0
+        assert run_cli(capsys, "train", *flags)[0] == 0
+        code, _, err = run_cli(capsys, "eval", *flags, *flag)
+        assert code == 2
+        assert "data error" in err and "re-run prepare" in err
+
     def test_numerical_error_exit_3(self, synth_dir, tmp_path, capsys, monkeypatch):
         def explode(config):
             raise NumericalError("boom")

@@ -258,6 +258,51 @@ class TestKernels:
         probs, _ = enc._forward_cache(batch, params, config)
         np.testing.assert_array_equal(forward(batch, params, config), probs)
 
+    @pytest.mark.parametrize("mask", ["all_ones_padded", "constrained"])
+    def test_chunked_forward_equals_forward_cache_bitwise(self, mask, monkeypatch):
+        config = small_config()
+        params = init_params(config)
+        rng = np.random.default_rng(23)
+        b, l = 5, 8
+        if mask == "all_ones_padded":
+            visible = np.ones((b, l, l))
+            for row, n in enumerate((8, 5, 3, 8, 6)):
+                visible[row, n:, :] = visible[row, :, n:] = 0.0
+        else:
+            visible = (rng.random((b, l, l)) < 0.6).astype(float)
+            visible = np.maximum(visible, visible.transpose(0, 2, 1))
+            visible[:, np.arange(l), np.arange(l)] = 1.0
+        batch = random_batch(config, rng, b=b, l=l, visible=visible)
+        probs, _ = enc._forward_cache(batch, params, config)
+
+        # Room for two rows of scores: chunks of 2, 2 and 1 rows.
+        monkeypatch.setattr(enc, "ATTN_CHUNK_BYTES", 2 * config.n_heads * l * l * 8)
+        chunk_rows = []
+        real_embed = enc._embed_cache
+
+        def spy_embed(chunk, *args):
+            chunk_rows.append(chunk.size)
+            return real_embed(chunk, *args)
+
+        monkeypatch.setattr(enc, "_embed_cache", spy_embed)
+        np.testing.assert_array_equal(forward(batch, params, config), probs)
+        assert chunk_rows == [2, 2, 1]
+
+    def test_forward_peak_memory_bounded_per_chunk(self):
+        # The long-cell scoring shape: a whole-batch forward peaks at about
+        # 218 MB here (scores and mask bias of all 16 rows), a chunked one at
+        # about 27 MB.
+        config = small_config(d_model=64, n_heads=4, d_ff=128, max_position=512)
+        params = init_params(config)
+        batch = random_batch(config, np.random.default_rng(24), b=16, l=512)
+        tracemalloc.start()
+        try:
+            forward(batch, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, peak / 1e6
+
     def test_forward_peak_memory_keeps_no_layer_caches(self):
         config = small_config(n_heads=4, max_position=256)
         params = init_params(config)

@@ -346,6 +346,16 @@ class TestBatchLines:
         with pytest.raises(error):
             _line_to_sequence(line)
 
+    @pytest.mark.parametrize("label", [None, 2, -1, "1", [1]])
+    def test_bad_label_rejected(self, label):
+        with pytest.raises(FormatError, match="label"):
+            _line_to_sequence(dict(self.LINE, sites=[], label=label))
+
+    def test_missing_label_rejected(self):
+        line = {"tokens": self.LINE["tokens"], "segments": self.LINE["segments"], "sites": []}
+        with pytest.raises(FormatError, match="label"):
+            _line_to_sequence(line)
+
     def test_identical_site_heads_rejected(self):
         site = {"head": [1, 3], "know": [40], "kind": "entity"}
         with pytest.raises(OverlapError):
@@ -382,6 +392,17 @@ class TestBatchLines:
         lines[0]["visible_rows"] = ["1"] * len(lines[0]["tokens"])
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         with pytest.raises(FormatError, match="re-run prepare"):
+            evaluate(config, "test")
+
+    def test_evaluate_rejects_unlabeled_line(self, small_dataset, tmp_path):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        run_train(config)
+        path = tmp_path / "out" / "batches" / "test.jsonl"
+        lines = read_batch_file(path)
+        del lines[-1]["label"]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(FormatError, match="label"):
             evaluate(config, "test")
 
 
@@ -467,6 +488,16 @@ class TestTrainEvaluate:
         with pytest.raises(IncompatibleArtifactsError):
             evaluate(config, "test")
 
+    @pytest.mark.parametrize("key, value", [("prompt_mode", "constrained"), ("max_len", 64)])
+    def test_config_differing_from_manifest_rejected(self, small_dataset, tmp_path, key, value):
+        prepared = {"prompt_mode": "slash", "epochs": 0}
+        config = desk_config(small_dataset, tmp_path / "out", **prepared)
+        run_prepare(config)
+        run_train(config)
+        other = desk_config(small_dataset, tmp_path / "out", **{**prepared, key: value})
+        with pytest.raises(IncompatibleArtifactsError, match=key):
+            evaluate(other, "test")
+
     def test_unprepared_split_rejected(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out")
         run_prepare(config)
@@ -485,6 +516,16 @@ class TestCompare:
         config = desk_config(small_dataset, tmp_path / "out")
         with pytest.raises(DegenerateError):
             compare(config, config, split="test")
+
+    def test_reused_out_dir_with_other_prompt_mode_rejected(self, small_dataset, tmp_path):
+        baseline = desk_config(small_dataset, tmp_path / "b", epochs=0)
+        run_prepare(baseline)
+        run_train(baseline)
+        # compare reuses the existing checkpoint in "b" instead of rebuilding it.
+        config_a = desk_config(small_dataset, tmp_path / "a", epochs=0, prompt_mode="slash")
+        config_b = desk_config(small_dataset, tmp_path / "b", epochs=0, prompt_mode="slash")
+        with pytest.raises(IncompatibleArtifactsError, match="prompt_mode"):
+            compare(config_a, config_b, split="test")
 
     def test_injected_vs_baseline_full_output(self, tmp_path):
         data_dir = tmp_path / "data"
