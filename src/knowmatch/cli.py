@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .errors import KnowmatchError, NumericalError
 from .harness import (
@@ -22,13 +21,13 @@ from .harness import (
     compare,
     evaluate,
     load_config_file,
+    load_tables,
     resolve_config,
     run_prepare,
     run_train,
 )
 from .knowledge import export_annotations
 from .synth import SyntheticSpec, generate_synthetic, write_synthetic
-from .tabular import load_table
 
 
 class _UsageError(Exception):
@@ -108,13 +107,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    data_dir = Path(args.data_dir)
-    tables = []
-    for name in ("tableA.csv", "tableB.csv"):
-        path = data_dir / name
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        tables.append(load_table(path))
+    tables = load_tables(args.data_dir)
     store = build_annotations(tables, args.rule_typer, args.gazetteer, None, args.ditto_mode)
     export_annotations(store, args.out)
     print(json.dumps(store.counts(), sort_keys=True))

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FormatError, NumericalError
+from .tabular import json_object
 
 MASK_VALUE = -1e9
 LN_EPS = 1e-5
@@ -320,10 +321,9 @@ def _classify(h_cls, params):
     return probs
 
 
-def _forward_cache(batch, params, config, training=False, dropout_rng=None):
-    rate = config.dropout_rate if training else 0.0
-    if rate > 0.0 and dropout_rng is None:
-        raise DomainError("training with dropout requires a dropout rng")
+def _forward_cache(batch, params, config, dropout_rng=None):
+    # Dropout is on iff a rng is passed (training).
+    rate = config.dropout_rate if dropout_rng is not None else 0.0
     keep = 1.0 - rate
 
     x, emb_ln_cache = _embed_cache(batch, params, config)
@@ -399,17 +399,18 @@ def loss_and_gradients(
     batch: Batch,
     params: dict,
     config: EncoderConfig,
-    training: bool = False,
     dropout_rng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus exact analytic gradients for every parameter."""
+    """Loss plus exact analytic gradients for every parameter. Dropout
+    (at ``config.dropout_rate``) is applied iff ``dropout_rng`` is given."""
     if batch.labels is None:
         raise DomainError("gradients require a labeled batch")
-    probs, cache = _forward_cache(batch, params, config, training, dropout_rng)
+    probs, cache = _forward_cache(batch, params, config, dropout_rng)
     loss_value = loss(probs, batch.labels)
 
     b = batch.size
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    # Each gradient is assigned once below; np.add.at accumulates the embeddings'.
+    grads = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb", "seg_emb")}
 
     dlogits = probs.copy()
     dlogits[np.arange(b), batch.labels] -= 1.0
@@ -428,27 +429,27 @@ def loss_and_gradients(
 
         # FFN block: out = LN2(x1 + w2·gelu(w1·x1 + b1) + b2)
         dz, dg, dbv = _layer_norm_backward(dx, ffn_cache["ln"], params[f"{prefix}.ln2_g"])
-        grads[f"{prefix}.ln2_g"] += dg
-        grads[f"{prefix}.ln2_b"] += dbv
+        grads[f"{prefix}.ln2_g"] = dg
+        grads[f"{prefix}.ln2_b"] = dbv
         x1, h1, a = ffn_cache["x"], ffn_cache["h1"], ffn_cache["a"]
         df = dz
-        grads[f"{prefix}.w2"] += a.reshape(-1, a.shape[-1]).T @ df.reshape(-1, df.shape[-1])
-        grads[f"{prefix}.b2"] += df.sum(axis=(0, 1))
+        grads[f"{prefix}.w2"] = a.reshape(-1, a.shape[-1]).T @ df.reshape(-1, df.shape[-1])
+        grads[f"{prefix}.b2"] = df.sum(axis=(0, 1))
         da = df @ params[f"{prefix}.w2"].T
         dh1 = da * _gelu_grad(h1, ffn_cache["t"])
-        grads[f"{prefix}.w1"] += x1.reshape(-1, x1.shape[-1]).T @ dh1.reshape(-1, dh1.shape[-1])
-        grads[f"{prefix}.b1"] += dh1.sum(axis=(0, 1))
+        grads[f"{prefix}.w1"] = x1.reshape(-1, x1.shape[-1]).T @ dh1.reshape(-1, dh1.shape[-1])
+        grads[f"{prefix}.b1"] = dh1.sum(axis=(0, 1))
         dx1 = dz + dh1 @ params[f"{prefix}.w1"].T
 
         # Attention block: x1 = LN1(x + attn(x))
         dz, dg, dbv = _layer_norm_backward(dx1, attn_cache["ln"], params[f"{prefix}.ln1_g"])
-        grads[f"{prefix}.ln1_g"] += dg
-        grads[f"{prefix}.ln1_b"] += dbv
+        grads[f"{prefix}.ln1_g"] = dg
+        grads[f"{prefix}.ln1_b"] = dbv
         x = attn_cache["x"]
         dattn = dz
         ctx = attn_cache["ctx"]
-        grads[f"{prefix}.wo"] += ctx.reshape(-1, ctx.shape[-1]).T @ dattn.reshape(-1, dattn.shape[-1])
-        grads[f"{prefix}.bo"] += dattn.sum(axis=(0, 1))
+        grads[f"{prefix}.wo"] = ctx.reshape(-1, ctx.shape[-1]).T @ dattn.reshape(-1, dattn.shape[-1])
+        grads[f"{prefix}.bo"] = dattn.sum(axis=(0, 1))
         dctx = _split_heads(dattn @ params[f"{prefix}.wo"].T, config.n_heads)
 
         used, weights, vh = attn_cache["used"], attn_cache["weights"], attn_cache["vh"]
@@ -464,12 +465,12 @@ def loss_and_gradients(
 
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
         x_flat = x.reshape(-1, x.shape[-1])
-        grads[f"{prefix}.wq"] += x_flat.T @ dq.reshape(-1, dq.shape[-1])
-        grads[f"{prefix}.bq"] += dq.sum(axis=(0, 1))
-        grads[f"{prefix}.wk"] += x_flat.T @ dk.reshape(-1, dk.shape[-1])
-        grads[f"{prefix}.bk"] += dk.sum(axis=(0, 1))
-        grads[f"{prefix}.wv"] += x_flat.T @ dv.reshape(-1, dv.shape[-1])
-        grads[f"{prefix}.bv"] += dv.sum(axis=(0, 1))
+        grads[f"{prefix}.wq"] = x_flat.T @ dq.reshape(-1, dq.shape[-1])
+        grads[f"{prefix}.bq"] = dq.sum(axis=(0, 1))
+        grads[f"{prefix}.wk"] = x_flat.T @ dk.reshape(-1, dk.shape[-1])
+        grads[f"{prefix}.bk"] = dk.sum(axis=(0, 1))
+        grads[f"{prefix}.wv"] = x_flat.T @ dv.reshape(-1, dv.shape[-1])
+        grads[f"{prefix}.bv"] = dv.sum(axis=(0, 1))
         dx = (
             dz
             + dq @ params[f"{prefix}.wq"].T
@@ -480,8 +481,8 @@ def loss_and_gradients(
     if cache["emb_mask"] is not None:
         dx = dx * cache["emb_mask"]
     dsum, dg, dbv = _layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"])
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += dbv
+    grads["emb_ln_g"] = dg
+    grads["emb_ln_b"] = dbv
     np.add.at(grads["tok_emb"], batch.token_ids, dsum)
     np.add.at(grads["pos_emb"], batch.soft_positions, dsum)
     if config.use_segments:
@@ -526,9 +527,7 @@ def train_step(
     rng = None
     if config.dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed if dropout_seed is not None else 0)
-    loss_value, grads = loss_and_gradients(
-        batch, params, config, training=True, dropout_rng=rng
-    )
+    loss_value, grads = loss_and_gradients(batch, params, config, dropout_rng=rng)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient in {name}, step aborted")
@@ -575,12 +574,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
     parameter list must be exactly the config's, and no bytes may follow
     the last array."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
         try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: bad checkpoint header") from exc
-        if not isinstance(header, dict) or header.get("version") != CHECKPOINT_VERSION:
+            header = json_object(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
+        if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version")
         try:
             config = EncoderConfig.from_dict(header["config"])

@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     FormatError,
     IncompatibleArtifactsError,
+    KnowmatchError,
     NumericalError,
 )
 from .injection import Branch, InjectionTree, build_injection_tree, check_length, expand
@@ -50,7 +51,7 @@ from .serializer import (
     write_batch_file,
 )
 from .stats import paired_ttest
-from .tabular import SPLITS, load_pairs, load_table
+from .tabular import SPLITS, Table, json_object, load_pairs, load_table
 from .text import PAD_ID, Tokenizer
 
 SEED_ENV_VAR = "KAER_SEED"
@@ -88,7 +89,7 @@ class RunConfig:
         if self.ditto_mode.lower() not in ("off", "general", "product"):
             raise DomainError(f"unknown ditto_mode {self.ditto_mode!r}")
         if self.threads != 1:
-            raise DomainError("only --threads 1 (deterministic mode) is implemented")
+            raise DomainError("threads accepts only 1; it pins no BLAS threads")
 
     @property
     def mode(self) -> PromptMode:
@@ -96,14 +97,11 @@ class RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad config JSON") from exc
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: config must be a flat JSON object")
-    return obj
+    """Read a file holding one JSON object: a config or a manifest."""
+    try:
+        return json_object(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def resolve_config(
@@ -210,14 +208,16 @@ def build_annotations(
     return filtered
 
 
+def load_tables(data_dir: str | Path) -> tuple[Table, Table]:
+    """The two tables of a data directory: ``tableA.csv`` and ``tableB.csv``."""
+    data_dir = Path(data_dir)
+    return load_table(data_dir / "tableA.csv"), load_table(data_dir / "tableB.csv")
+
+
 def run_prepare(config: RunConfig) -> dict:
     """Serialize every available split into batch files; returns the manifest."""
     data_dir = Path(config.data_dir)
-    for name in ("tableA.csv", "tableB.csv"):
-        if not (data_dir / name).exists():
-            raise FileNotFoundError(str(data_dir / name))
-    left = load_table(data_dir / "tableA.csv")
-    right = load_table(data_dir / "tableB.csv")
+    left, right = load_tables(data_dir)
     split_sets = {}
     for split in SPLITS:
         path = data_dir / f"{split}.csv"
@@ -288,7 +288,9 @@ def _line_to_sequence(line: dict) -> tuple:
             "batch line in the old constrained format (soft_pos/visible_rows); "
             "re-run prepare"
         )
-    tokens, segments, label = line["tokens"], line["segments"], line.get("label")
+    tokens, segments, label = line.get("tokens"), line.get("segments"), line.get("label")
+    if not isinstance(tokens, list) or not isinstance(segments, list):
+        raise FormatError("batch line tokens and segments must be lists")
     if label not in (0, 1):
         raise FormatError(f"batch line label must be 0 or 1, got {label!r}")
     if len(segments) != len(tokens):
@@ -313,23 +315,37 @@ def _batches_of(seqs, order, batch_size, dtype):
         yield Batch.from_sequences(chunk, pad_id=PAD_ID, dtype=dtype)
 
 
-def _read_manifest(out_dir: Path) -> dict:
-    path = out_dir / "manifest.json"
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_prepared(config: RunConfig, split: str) -> tuple[dict, list[tuple]]:
+    """Read a prepared ``out_dir``: its manifest, checked against the config,
+    and one split's batch lines decoded by ``_line_to_sequence``."""
+    out_dir = Path(config.out_dir)
+    manifest_path = out_dir / "manifest.json"
+    manifest = load_config_file(manifest_path)
+    if not isinstance(manifest.get("splits"), dict) or "vocab_hash" not in manifest:
+        raise FormatError(f"{manifest_path}: no splits or vocab_hash")
+    for key, value in (("prompt_mode", config.mode.value), ("max_len", config.max_len)):
+        if manifest.get(key) != value:
+            raise IncompatibleArtifactsError(
+                f"{out_dir} was prepared with {key}={manifest.get(key)!r}, "
+                f"not {value!r}; re-run prepare"
+            )
+    if split not in manifest["splits"]:
+        raise FileNotFoundError(f"split {split!r} was not prepared in {out_dir}")
+    path = out_dir / "batches" / f"{split}.jsonl"
+    seqs = []
+    for n, line in enumerate(read_batch_file(path), start=1):
+        try:
+            seqs.append(_line_to_sequence(line))
+        except KnowmatchError as exc:  # also a bad site head (Domain/OverlapError)
+            raise FormatError(f"{path}: batch line {n}: {exc}") from exc
+    return manifest, seqs
 
 
 def run_train(config: RunConfig) -> dict:
     """Train on the prepared train split; writes checkpoint and loss log."""
     out_dir = Path(config.out_dir)
-    manifest = _read_manifest(out_dir)
-    train_path = out_dir / "batches" / "train.jsonl"
-    if not train_path.exists():
-        raise FileNotFoundError(str(train_path))
     # Decoded once: constrained lines are not re-expanded every epoch.
-    seqs = [_line_to_sequence(line) for line in read_batch_file(train_path)]
+    manifest, seqs = _load_prepared(config, "train")
     tokenizer = Tokenizer.load(out_dir / "vocab.tsv")
 
     enc_config = EncoderConfig(
@@ -392,23 +408,13 @@ def run_train(config: RunConfig) -> dict:
 def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None) -> Metrics:
     """Evaluate the trained checkpoint on one prepared split (0.5 threshold)."""
     out_dir = Path(config.out_dir)
-    manifest = _read_manifest(out_dir)
-    for key, value in (("prompt_mode", config.mode.value), ("max_len", config.max_len)):
-        if manifest.get(key) != value:
-            raise IncompatibleArtifactsError(
-                f"{out_dir} was prepared with {key}={manifest.get(key)!r}, "
-                f"not {value!r}; re-run prepare"
-            )
-    if split not in manifest["splits"]:
-        raise FileNotFoundError(f"split {split!r} was not prepared in {out_dir}")
+    manifest, seqs = _load_prepared(config, split)
     checkpoint = Path(checkpoint) if checkpoint else out_dir / "checkpoint.bin"
     params, enc_config, _seed, header = load_checkpoint(checkpoint)
     if header.get("vocab_hash") != manifest["vocab_hash"]:
         raise IncompatibleArtifactsError(
             "checkpoint vocabulary does not match the prepared batches"
         )
-    lines = read_batch_file(out_dir / "batches" / f"{split}.jsonl")
-    seqs = [_line_to_sequence(line) for line in lines]
     predictions, labels = [], []
     order = list(range(len(seqs)))
     for batch in _batches_of(seqs, order, config.batch_size, enc_config.np_dtype):

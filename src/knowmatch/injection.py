@@ -57,7 +57,6 @@ class InjectedSequence:
     soft_positions: tuple[int, ...]
     visible: np.ndarray  # (L, L) uint8, symmetric, all-ones diagonal
     segments: tuple[int, ...]
-    trunk_mask: tuple[int, ...]
 
 
 def build_injection_tree(seq: TokenSeq | InputSequence) -> InjectionTree:
@@ -102,10 +101,6 @@ def _flat_layout(tree: InjectionTree) -> _Layout:
     return layout
 
 
-def _trunk_mask(layout: _Layout) -> tuple[int, ...]:
-    return tuple([1 if b < 0 else 0 for b in layout.owner])
-
-
 def flatten_with_soft_positions(
     tree: InjectionTree,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -115,7 +110,8 @@ def flatten_with_soft_positions(
     branch (k = 1, 2, ...) gets the position of its head's last token plus k.
     """
     layout = _flat_layout(tree)
-    return tuple(layout.tokens), tuple(layout.soft), _trunk_mask(layout)
+    trunk_mask = tuple([1 if b < 0 else 0 for b in layout.owner])
+    return tuple(layout.tokens), tuple(layout.soft), trunk_mask
 
 
 def _visible_matrix(tree: InjectionTree, layout: _Layout) -> np.ndarray:
@@ -169,7 +165,6 @@ def expand(tree: InjectionTree, segments: Sequence[int]) -> InjectedSequence:
         soft_positions=tuple(layout.soft),
         visible=_visible_matrix(tree, layout),
         segments=tuple([segments[a] for a in layout.anchor]),
-        trunk_mask=_trunk_mask(layout),
     )
 
 

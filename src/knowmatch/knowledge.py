@@ -8,14 +8,13 @@ interchange format instead (see ``ingest_annotations``).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import DomainError, FormatError, OverlapError
-from .tabular import Table
+from .tabular import Table, json_object, read_lines, tsv_pair, write_json_lines
 from .text import tokenize
 
 # Ditto-style baseline injection vocabularies.
@@ -99,15 +98,10 @@ class Gazetteer:
     def from_file(cls, path: str | Path) -> "Gazetteer":
         """Load a TSV gazetteer: ``surface<TAB>type`` per line, UTF-8."""
         pairs = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0].strip():
-                    raise FormatError(f"{path}: bad gazetteer line {lineno}")
-                pairs.append((parts[0], parts[1]))
+        for lineno, (surface, label) in read_lines(path, tsv_pair):
+            if not surface.strip():
+                raise FormatError(f"{path}: line {lineno}: empty gazetteer surface")
+            pairs.append((surface, label))
         return cls.from_pairs(pairs)
 
 
@@ -300,80 +294,47 @@ def ingest_annotations(path: str | Path) -> AnnotationStore:
     column_type lines override earlier ones for the same (table, column).
     """
     store = AnnotationStore()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: bad JSON") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{path}: line {lineno}: expected an object")
-            kind = obj.get("kind")
-            if kind not in ("column_type", "mention"):
-                raise FormatError(f"{path}: line {lineno}: unknown kind {kind!r}")
-            try:
-                if kind == "column_type":
-                    store.add_column_type(
-                        ColumnTypeAnnotation(
-                            table=str(obj["table"]),
-                            column=str(obj["column"]),
-                            predicted_type=str(obj["type"]),
-                            confidence=float(obj["confidence"]),
-                        )
+    for lineno, obj in read_lines(path, json_object):
+        kind = obj.get("kind")
+        if kind not in ("column_type", "mention"):
+            raise FormatError(f"{path}: line {lineno}: unknown kind {kind!r}")
+        try:
+            if kind == "column_type":
+                store.add_column_type(
+                    ColumnTypeAnnotation(
+                        table=str(obj["table"]),
+                        column=str(obj["column"]),
+                        predicted_type=str(obj["type"]),
+                        confidence=float(obj["confidence"]),
                     )
-                else:
-                    store.add_mention(
-                        EntityMention(
-                            table=str(obj["table"]),
-                            row=str(obj["row"]),
-                            column=str(obj["column"]),
-                            start=int(obj["start"]),
-                            end=int(obj["end"]),
-                            surface=str(obj["surface"]),
-                            entity_type=str(obj["type"]),
-                        )
+                )
+            else:
+                store.add_mention(
+                    EntityMention(
+                        table=str(obj["table"]),
+                        row=str(obj["row"]),
+                        column=str(obj["column"]),
+                        start=int(obj["start"]),
+                        end=int(obj["end"]),
+                        surface=str(obj["surface"]),
+                        entity_type=str(obj["type"]),
                     )
-            except OverlapError:
-                raise
-            except (KeyError, ValueError, TypeError, FormatError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+                )
+        except (KeyError, ValueError, TypeError, FormatError) as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     return store
 
 
 def export_annotations(store: AnnotationStore, path: str | Path) -> None:
     """Write a store back out as annotation JSONL (deterministic order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ann in store.all_column_types():
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "column_type",
-                        "table": ann.table,
-                        "column": ann.column,
-                        "type": ann.predicted_type,
-                        "confidence": ann.confidence,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        for m in store.all_mentions():
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "mention",
-                        "table": m.table,
-                        "row": m.row,
-                        "column": m.column,
-                        "start": m.start,
-                        "end": m.end,
-                        "surface": m.surface,
-                        "type": m.entity_type,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    column_types = [
+        {"kind": "column_type", "table": a.table, "column": a.column,
+         "type": a.predicted_type, "confidence": a.confidence}
+        for a in store.all_column_types()
+    ]
+    mentions = [
+        {"kind": "mention", "table": m.table, "row": m.row, "column": m.column,
+         "start": m.start, "end": m.end, "surface": m.surface, "type": m.entity_type}
+        for m in store.all_mentions()
+    ]
+    write_json_lines(path, column_types + mentions)

@@ -8,7 +8,6 @@ injection sites that the constrained-prompting stage expands into branches.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from .knowledge import (
     DITTO_PRODUCT_SOURCE_TYPES,
     RULE_TYPE_LABELS,
 )
-from .tabular import Record, Table
+from .tabular import Record, Table, json_object, read_lines, write_json_lines
 from .text import CLS_ID, COL_ID, SEP_ID, SPECIAL_TOKENS, Tokenizer, VAL_ID, tokenize
 
 
@@ -324,16 +323,8 @@ def pair_to_json(seq: InputSequence) -> dict:
 
 
 def write_batch_file(path: str | Path, lines: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in lines:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    write_json_lines(path, lines)
 
 
 def read_batch_file(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return [obj for _, obj in read_lines(path, json_object)]

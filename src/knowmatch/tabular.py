@@ -1,4 +1,5 @@
-"""Tables of records and labeled record pairs.
+"""Tables of records and labeled record pairs, and the readers of CSV and
+line files (JSONL, two-column TSV).
 
 Datasets follow the common two-table layout: ``tableA.csv`` / ``tableB.csv``
 with an ``id`` column plus attribute columns, and pair files
@@ -9,10 +10,13 @@ with an ``id`` column plus attribute columns, and pair files
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
+
 from .errors import DanglingReferenceError, DomainError, DuplicateIdError, FormatError
 
 SPLITS = ("train", "valid", "test")
@@ -119,6 +123,48 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
                     raise FormatError(f"{path}: embedded newline in row {lineno}")
             rows.append(row)
     return rows
+
+
+def json_object(text: str) -> dict:
+    """Parse one JSON object; anything else is a ValueError."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON: {exc.msg} at char {exc.pos}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def tsv_pair(text: str) -> tuple[str, str]:
+    """Split a line into exactly two tab-separated fields."""
+    parts = text.split("\t")
+    if len(parts) != 2:
+        raise ValueError(f"expected 2 tab-separated fields, got {len(parts)}")
+    return parts[0], parts[1]
+
+
+def read_lines(path: str | Path, parse: Callable[[str], object]) -> Iterator[tuple[int, object]]:
+    """Yield ``(lineno, parse(line))`` for every non-blank line of a UTF-8
+    file. A ValueError from ``parse`` becomes a FormatError naming the path
+    and line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            try:
+                parsed = parse(line)
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+            yield lineno, parsed
+
+
+def write_json_lines(path: str | Path, objs: Iterable[dict]) -> None:
+    """Write one key-sorted JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_table(path: str | Path, name: str | None = None) -> Table:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError
+from .tabular import read_lines, tsv_pair
 
 CLS, SEP, COL, VAL, UNK, PAD = "[CLS]", "[SEP]", "[COL]", "[VAL]", "[UNK]", "[PAD]"
 SPECIAL_TOKENS = (CLS, SEP, COL, VAL, UNK, PAD)
@@ -97,18 +98,10 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Tokenizer":
-        vocab: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise FormatError(f"{path}: bad vocab line {lineno}")
-                tok, raw_id = parts
-                try:
-                    vocab[tok] = int(raw_id)
-                except ValueError as exc:
-                    raise FormatError(f"{path}: bad id on line {lineno}") from exc
-        return cls(vocab=vocab)
+        """Read a ``token<TAB>id`` file written by ``save``."""
+        return cls(vocab=dict(entry for _, entry in read_lines(path, _vocab_entry)))
+
+
+def _vocab_entry(line: str) -> tuple[str, int]:
+    tok, raw_id = tsv_pair(line)
+    return tok, int(raw_id)

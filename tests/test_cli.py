@@ -152,6 +152,35 @@ class TestPipeline:
         assert code == 2
         assert "data error" in err and "re-run prepare" in err
 
+    @pytest.mark.parametrize("flag", [("--mode", "constrained"), ("--max_len", "64")])
+    def test_train_config_differing_from_prepare_exit_2(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        flags = ("--profile", "desk", "--data_dir", str(synth_dir), "--out_dir", str(out), "--epochs", "0")
+        assert run_cli(capsys, "prepare", *flags)[0] == 0
+        code, _, err = run_cli(capsys, "train", *flags, *flag)
+        assert code == 2
+        assert "data error" in err and "re-run prepare" in err
+
+    @pytest.mark.parametrize(
+        "target, text",
+        [
+            ("batches/test.jsonl", "{bad"),
+            ("batches/test.jsonl", "[1]"),
+            ("batches/test.jsonl", '{"segments": [], "sites": [], "label": 0}'),
+            ("manifest.json", "{bad"),
+        ],
+    )
+    def test_eval_malformed_artifact_exit_2(self, synth_dir, tmp_path, capsys, target, text):
+        out = tmp_path / "out"
+        flags = ("--profile", "desk", "--data_dir", str(synth_dir), "--out_dir", str(out), "--epochs", "0")
+        assert run_cli(capsys, "prepare", *flags)[0] == 0
+        assert run_cli(capsys, "train", *flags)[0] == 0
+        with open(out / target, "a", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        code, _, err = run_cli(capsys, "eval", *flags)
+        assert code == 2
+        assert "data error" in err and target.split("/")[-1] in err
+
     def test_numerical_error_exit_3(self, synth_dir, tmp_path, capsys, monkeypatch):
         def explode(config):
             raise NumericalError("boom")

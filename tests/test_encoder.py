@@ -340,6 +340,20 @@ class TestLoss:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("use_segments", [True, False])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_one_gradient_per_parameter(self, n_layers, use_segments, dtype):
+        config = small_config(n_layers=n_layers, use_segments=use_segments, dtype=dtype)
+        params = init_params(config)
+        batch = random_batch(config, np.random.default_rng(4))
+        grads = gradients(batch, params, config)
+        assert set(grads) == set(params)
+        for name, arr in params.items():
+            assert grads[name].shape == arr.shape, name
+            assert grads[name].dtype == arr.dtype, name
+        assert np.any(grads["seg_emb"]) == use_segments
+
     def test_unused_vocab_row_has_zero_gradient(self):
         config = small_config()
         params = init_params(config)

@@ -394,6 +394,24 @@ class TestBatchLines:
         with pytest.raises(FormatError, match="re-run prepare"):
             evaluate(config, "test")
 
+    @pytest.mark.parametrize(
+        "bad", ["{bad", "[1, 2]", '"tokens"', '{"segments": [0], "sites": [], "label": 1}',
+                '{"tokens": 7, "segments": [0], "sites": [], "label": 1}',
+                '{"tokens": [0, 1], "segments": [0, 0], "sites": [{"head": [1, 9], "know": [7]}], '
+                '"label": 1}'],
+    )
+    @pytest.mark.parametrize("phase", ["train", "test"])
+    def test_malformed_batch_line_names_path_and_line(self, small_dataset, tmp_path, bad, phase):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        run_train(config)
+        path = tmp_path / "out" / "batches" / f"{phase}.jsonl"
+        n_lines = len(path.read_text().splitlines())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        with pytest.raises(FormatError, match=rf"{phase}\.jsonl: (batch )?line {n_lines + 1}: "):
+            run_train(config) if phase == "train" else evaluate(config, phase)
+
     def test_evaluate_rejects_unlabeled_line(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out", epochs=0)
         run_prepare(config)
@@ -497,6 +515,25 @@ class TestTrainEvaluate:
         other = desk_config(small_dataset, tmp_path / "out", **{**prepared, key: value})
         with pytest.raises(IncompatibleArtifactsError, match=key):
             evaluate(other, "test")
+
+    @pytest.mark.parametrize("key, value", [("prompt_mode", "constrained"), ("max_len", 64)])
+    def test_train_on_directory_prepared_otherwise_rejected(self, small_dataset, tmp_path, key, value):
+        prepared = {"prompt_mode": "slash", "epochs": 0}
+        run_prepare(desk_config(small_dataset, tmp_path / "out", **prepared))
+        other = desk_config(small_dataset, tmp_path / "out", **{**prepared, key: value})
+        with pytest.raises(IncompatibleArtifactsError, match=key):
+            run_train(other)
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("text", ["{bad", "[]", '{"prompt_mode": "space", "max_len": 128}'])
+    @pytest.mark.parametrize("phase", ["train", "eval"])
+    def test_corrupt_manifest_rejected(self, small_dataset, tmp_path, text, phase):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        run_train(config)
+        (tmp_path / "out" / "manifest.json").write_text(text + "\n")
+        with pytest.raises(FormatError, match="manifest.json: "):
+            run_train(config) if phase == "train" else evaluate(config, "test")
 
     def test_unprepared_split_rejected(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out")

@@ -263,7 +263,9 @@ class TestAssemble:
         assert inj.soft_positions == tuple(range(len(pair.tokens)))
         assert (inj.visible == 1).all()
         assert inj.segments == pair.segments
-        assert inj.trunk_mask == (1,) * len(pair.tokens)
+        assert flatten_with_soft_positions(build_injection_tree(pair))[2] == (
+            (1,) * len(pair.tokens)
+        )
 
     def test_right_side_branch_inherits_segment_one(self):
         pair, tokenizer = self.build_pair(PromptMode.CONSTRAINED)
@@ -271,7 +273,7 @@ class TestAssemble:
         product_id = tokenizer.vocab["product"]
         idx = inj.tokens.index(product_id)
         assert inj.segments[idx] == 1
-        assert inj.trunk_mask[idx] == 0
+        assert flatten_with_soft_positions(build_injection_tree(pair))[2][idx] == 0
 
     def test_overflow_rejected(self):
         pair, _ = self.build_pair(PromptMode.CONSTRAINED)
@@ -281,13 +283,14 @@ class TestAssemble:
     def test_trunk_recovery(self):
         pair, _ = self.build_pair(PromptMode.CONSTRAINED)
         inj = assemble(pair, 64)
+        _, _, trunk_mask = flatten_with_soft_positions(build_injection_tree(pair))
         recovered = [
             tok
             for _, tok in sorted(
                 (
                     (soft, tok)
                     for tok, soft, is_trunk in zip(
-                        inj.tokens, inj.soft_positions, inj.trunk_mask
+                        inj.tokens, inj.soft_positions, trunk_mask
                     )
                     if is_trunk
                 ),

@@ -267,6 +267,13 @@ class TestGazetteer:
         with pytest.raises(FormatError):
             Gazetteer.from_file(path)
 
+    @pytest.mark.parametrize("bad", ["no-tab-here", "a\tB\tC", "  \tX"])
+    def test_bad_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(f"paris\tGPE\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="gaz.tsv: line 3: "):
+            Gazetteer.from_file(path)
+
     def test_empty_surface_rejected(self):
         with pytest.raises(FormatError):
             Gazetteer(entries={"  ": "X"})

@@ -15,9 +15,12 @@ from knowmatch.tabular import (
     LabeledPairSet,
     Record,
     Table,
+    json_object,
     load_pairs,
     load_table,
     make_dirty,
+    read_lines,
+    tsv_pair,
     write_table,
 )
 
@@ -212,3 +215,28 @@ class TestPairSetInvariants:
         rec = Record("0", (("a", "1"),))
         with pytest.raises(FormatError):
             Table(name="t", schema=("b",), rows=(rec,))
+
+
+class TestReadLines:
+    def test_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+        path = write(tmp_path / "a.jsonl", '{"a": 1}\n\n  \n{"a": 2}\n')
+        assert list(read_lines(path, json_object)) == [(1, {"a": 1}), (4, {"a": 2})]
+
+    def test_tsv_pair_keeps_fields_verbatim(self, tmp_path):
+        path = write(tmp_path / "a.tsv", "New York\tGPE\n x \t\n")
+        assert list(read_lines(path, tsv_pair)) == [(1, ("New York", "GPE")), (2, (" x ", ""))]
+
+    @pytest.mark.parametrize(
+        "text, parse",
+        [
+            ('{"a": 1}\n{bad\n', json_object),
+            ('{"a": 1}\n[1, 2]\n', json_object),
+            ('{"a": 1}\n"text"\n', json_object),
+            ("a\tb\nno-tab\n", tsv_pair),
+            ("a\tb\na\tb\tc\n", tsv_pair),
+        ],
+    )
+    def test_parse_failure_names_path_and_line(self, tmp_path, text, parse):
+        path = write(tmp_path / "f.txt", text)
+        with pytest.raises(FormatError, match=r"f\.txt: line 2: "):
+            list(read_lines(path, parse))

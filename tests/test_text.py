@@ -88,6 +88,16 @@ class TestTokenizer:
         assert loaded.vocab == tokenizer.vocab
         assert loaded.vocab_hash == tokenizer.vocab_hash
 
+    @pytest.mark.parametrize("bad", ["word", "word\tx", "word\t6\t7"])
+    def test_bad_vocab_line_rejected(self, tokenizer, tmp_path, bad):
+        path = tmp_path / "vocab.tsv"
+        tokenizer.save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        n_lines = len(tokenizer) + 1
+        with pytest.raises(FormatError, match=f"vocab.tsv: line {n_lines}: "):
+            Tokenizer.load(path)
+
     def test_bad_special_ids_rejected(self):
         with pytest.raises(FormatError):
             Tokenizer(vocab={"[CLS]": 1, "[SEP]": 0})
