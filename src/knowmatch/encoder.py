@@ -25,9 +25,10 @@ MASK_VALUE = -1e9
 LN_EPS = 1e-5
 CHECKPOINT_VERSION = 1
 # Evaluation runs the layer stack on row chunks of the batch whose
-# (rows, H, L, L) attention scores fit in this many bytes: 2 rows at
-# L=512 with 4 heads in float64, the whole batch at short lengths.
-ATTN_CHUNK_BYTES = 16 * 2**20
+# (rows, H, L, L) attention scores fit in this many bytes: 1 row at L=512
+# with 4 heads in float64, the whole batch at short lengths. A chunk's
+# buffers are kept for the whole ``evaluate`` call, so they are sized small.
+ATTN_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -156,24 +157,60 @@ class Batch:
         return self.token_ids.shape[0]
 
 
-def _layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gain * xhat + bias, (xhat, inv)
+class Workspace:
+    """Named scratch arrays that the forward and backward passes write their
+    large (B, L, d), (B, L, ff) and (B, H, L, L) temporaries into.
+
+    ``run_train`` keeps one for the whole run, so a step reuses the previous
+    step's memory instead of mapping fresh pages. Each name holds one flat
+    buffer that grows to the largest size asked for; a smaller shape gets a
+    reshaped prefix of it, so an epoch's short last batch needs no buffer of
+    its own. An array handed out stays valid when its name's buffer later
+    grows. Callers that pass no workspace get a fresh one per call.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
 
 
-def _layer_norm_backward(dy, cache, gain):
+# The kernels below write into given buffers and keep the operation order of
+# the plain expressions in their docstrings, so results are bit-identical to
+# them.
+
+
+def _layer_norm(x, gain, bias, out, ws):
+    """gain·x̂ + bias into ``out``. Normalizes ``x`` in place: it becomes the
+    x̂ that the backward pass keeps."""
+    x -= x.mean(axis=-1, keepdims=True)
+    sq = np.multiply(x, x, out=ws.get("tmp", x.shape, x.dtype))
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + LN_EPS)
+    x *= inv
+    np.multiply(x, gain, out=out)
+    out += bias
+    return out, (x, inv)
+
+
+def _layer_norm_backward(dy, cache, gain, ws):
+    """(dx, dgain, dbias); dx goes into the workspace's one "dln" buffer."""
     xhat, inv = cache
     axes = tuple(range(dy.ndim - 1))
-    dgain = (dy * xhat).sum(axis=axes)
+    tmp = ws.get("tmp", dy.shape, dy.dtype)
+    dgain = np.multiply(dy, xhat, out=tmp).sum(axis=axes)
     dbias = dy.sum(axis=axes)
-    dxhat = dy * gain
-    dmean = dxhat.mean(axis=-1, keepdims=True)
-    dproj = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - dmean - xhat * dproj)
+    dx = np.multiply(dy, gain, out=ws.get("dln", dy.shape, dy.dtype))  # dx̂
+    dmean = dx.mean(axis=-1, keepdims=True)
+    dproj = np.multiply(dx, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    # inv · (dx̂ - dmean - x̂·dproj)
+    dx -= dmean
+    dx -= np.multiply(xhat, dproj, out=tmp)
+    dx *= inv
     return dx, dgain, dbias
 
 
@@ -181,33 +218,44 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_tanh(x, x2):
-    """tanh(C·(x + A·x³)), the term the GELU backward pass reuses.
+def _gelu_tanh(x, out):
+    """tanh(C·(x + A·x³)) into ``out``, the term the GELU backward pass reuses.
 
-    ``x2`` is ``x*x``; the cube is two multiplies, not ``x ** 3`` (libm
-    ``pow``, about 14x slower on these arrays).
+    The cube is two multiplies, not ``x ** 3`` (libm ``pow``, about 14x
+    slower on these arrays).
     """
-    u = x2 * x
-    u *= _GELU_A
-    u += x
-    u *= _GELU_C
-    return np.tanh(u, out=u)
+    np.multiply(x, x, out=out)
+    out *= x
+    out *= _GELU_A
+    out += x
+    out *= _GELU_C
+    return np.tanh(out, out=out)
 
 
-def _gelu(x, t=None):
-    """Tanh-approximate GELU (Hendrycks & Gimpel, arXiv 1606.08415); ``t``
-    is ``_gelu_tanh`` of ``x`` if already computed."""
-    if t is None:
-        t = _gelu_tanh(x, x * x)
-    return 0.5 * x * (1.0 + t)
+def _gelu(x, t, out, tmp):
+    """Tanh-approximate GELU (Hendrycks & Gimpel, arXiv 1606.08415),
+    0.5·x·(1 + t) into ``out``; ``t`` is ``_gelu_tanh`` of ``x``."""
+    np.multiply(x, 0.5, out=out)
+    out *= np.add(t, 1.0, out=tmp)
+    return out
 
 
-def _gelu_grad(x, t=None):
-    """dGELU/dx; ``t`` is the forward pass's ``_gelu_tanh`` of ``x`` if kept."""
-    x2 = x * x
-    if t is None:
-        t = _gelu_tanh(x, x2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+def _gelu_grad(x, t, out, tmp):
+    """dGELU/dx = 0.5·(1 + t) + 0.5·x·(1 - t²)·C·(1 + 3A·x²) into ``out``;
+    ``t`` is ``_gelu_tanh`` of ``x``. Overwrites ``t`` and ``tmp``."""
+    np.multiply(t, t, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(x, 0.5, out=out)
+    out *= tmp
+    out *= _GELU_C
+    np.multiply(x, x, out=tmp)
+    tmp *= 3.0 * _GELU_A
+    tmp += 1.0
+    out *= tmp
+    t += 1.0
+    t *= 0.5
+    out += t
+    return out
 
 
 def _softmax(x):
@@ -217,64 +265,106 @@ def _softmax(x):
 
 
 def _split_heads(x, n_heads):
+    """(B, H, L, d/H) view of a (B, L, d) array."""
     b, l, d = x.shape
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+def _rows(x):
+    """(B·L, d) view of a (B, L, d) array."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _linear(x, w, b, out):
+    """x·w + b into ``out``."""
+    np.matmul(x, w, out=out)
+    out += b
+    return out
 
 
 def embed(batch: Batch, params: dict, config: EncoderConfig) -> np.ndarray:
     """Token + soft-position + segment embedding, layer-normed. (B, L, d)."""
-    out, _ = _embed_cache(batch, params, config)
+    out, _ = _embed_cache(batch, params, config, Workspace())
     return out
 
 
-def _embed_cache(batch, params, config):
-    if int(batch.soft_positions.max(initial=0)) >= config.max_position:
-        raise DomainError(
-            f"soft position {int(batch.soft_positions.max())} >= "
-            f"max_position {config.max_position}"
-        )
-    total = params["tok_emb"][batch.token_ids] + params["pos_emb"][batch.soft_positions]
+def _embed_cache(batch, params, config, ws):
+    lookups = [("tok_emb", batch.token_ids), ("pos_emb", batch.soft_positions)]
     if config.use_segments:
-        total = total + params["seg_emb"][batch.segments]
-    normed, ln_cache = _layer_norm(total, params["emb_ln_g"], params["emb_ln_b"])
-    return normed, ln_cache
+        lookups.append(("seg_emb", batch.segments))
+    shape = batch.token_ids.shape + (config.d_model,)
+    dtype = params["tok_emb"].dtype
+    total = ws.get("emb_ln", shape, dtype)
+    for i, (name, index) in enumerate(lookups):
+        n = len(params[name])
+        if index.size and not 0 <= index.min() <= index.max() < n:
+            raise DomainError(
+                f"{name} index outside [0, {n}): min {index.min()}, max {index.max()}"
+            )
+        # After that check mode="clip" changes nothing, and it lets take
+        # write into its out buffer directly ("raise" fills a copy first).
+        rows = np.take(
+            params[name], index, axis=0, mode="clip",
+            out=total if i == 0 else ws.get("tmp", shape, dtype),
+        )
+        if i:
+            total += rows
+    return _layer_norm(
+        total, params["emb_ln_g"], params["emb_ln_b"], ws.get("emb", shape, dtype), ws
+    )
 
 
-def _mask_bias(visible):
+def _mask_bias(visible, ws):
     """Additive attention bias (B, 1, L, L): 0 where visible, MASK_VALUE where not."""
-    return ((1.0 - visible) * MASK_VALUE)[:, None]
+    bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, visible.dtype))
+    bias *= MASK_VALUE
+    return bias[:, None]
 
 
-def _attention_block(x, bias, params, prefix, config, attn_dropout_mask=None):
+def _attention_block(x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None):
     """One attention sub-block: projections, masked softmax, residual, LN.
 
     ``bias`` is ``_mask_bias(visible)``, built once per forward pass (once
-    per row chunk in ``forward``).
+    per row chunk in ``forward``). The arrays go into ``ws`` under ``slot``,
+    which defaults to the layer's ``prefix``: training keeps each layer's
+    arrays for the backward pass.
     """
+    slot = slot or prefix
     h = config.n_heads
+    b, l, _ = x.shape
     scale = 1.0 / math.sqrt(config.head_dim)
-    q = x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
-    k = x @ params[f"{prefix}.wk"] + params[f"{prefix}.bk"]
-    v = x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"]
-    qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
+    q, k, v = (
+        _linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"],
+                ws.get(f"{slot}.{n}", x.shape, x.dtype))
+        for n in "qkv"
+    )
     # Masked softmax in the one (B, H, L, L) buffer the scores come in.
-    weights = qh @ kh.transpose(0, 1, 3, 2)
+    weights = np.matmul(
+        _split_heads(q, h), _split_heads(k, h).transpose(0, 1, 3, 2),
+        out=ws.get(f"{slot}.weights", (b, h, l, l), x.dtype),
+    )
     weights *= scale
     weights += bias
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    used = weights if attn_dropout_mask is None else weights * attn_dropout_mask
-    ctx = _merge_heads(used @ vh)
-    attn = ctx @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
-    out, ln_cache = _layer_norm(x + attn, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
+    used = weights
+    if attn_dropout_mask is not None:
+        used = np.multiply(
+            weights, attn_dropout_mask, out=ws.get(f"{slot}.used", weights.shape, x.dtype)
+        )
+    # The heads' contexts are written straight into merged (B, L, d) layout.
+    ctx = ws.get(f"{slot}.ctx", x.shape, x.dtype)
+    np.matmul(used, _split_heads(v, h), out=_split_heads(ctx, h))
+    attn = _linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
+                   ws.get(f"{slot}.ln1", x.shape, x.dtype))
+    attn += x
+    out, ln_cache = _layer_norm(
+        attn, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"],
+        ws.get(f"{slot}.x1", x.shape, x.dtype), ws,
+    )
     cache = {
-        "x": x, "qh": qh, "kh": kh, "vh": vh, "weights": weights, "used": used,
+        "x": x, "q": q, "k": k, "v": v, "weights": weights, "used": used,
         "ctx": ctx, "ln": ln_cache, "dropout": attn_dropout_mask,
     }
     return out, cache
@@ -288,7 +378,8 @@ def masked_attention(
     layer: int = 0,
 ) -> np.ndarray:
     """Apply one layer's masked attention block to hidden states."""
-    out, _ = _attention_block(hidden, _mask_bias(visible), params, f"l{layer}", config)
+    ws = Workspace()
+    out, _ = _attention_block(hidden, _mask_bias(visible, ws), params, f"l{layer}", config, ws)
     return out
 
 
@@ -300,16 +391,26 @@ def attention_weights(
     layer: int = 0,
 ) -> np.ndarray:
     """Post-softmax attention weights (B, H, L, L) of one layer, for inspection."""
-    _, cache = _attention_block(hidden, _mask_bias(visible), params, f"l{layer}", config)
+    ws = Workspace()
+    _, cache = _attention_block(hidden, _mask_bias(visible, ws), params, f"l{layer}", config, ws)
     return cache["weights"]
 
 
-def _ffn_block(x, params, prefix):
-    h1 = x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
-    t = _gelu_tanh(h1, h1 * h1)
-    a = _gelu(h1, t)
-    f = a @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-    out, ln_cache = _layer_norm(x + f, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])
+def _ffn_block(x, params, prefix, ws, slot=None):
+    """One FFN sub-block; ``ws`` and ``slot`` as in ``_attention_block``."""
+    slot = slot or prefix
+    w1 = params[f"{prefix}.w1"]
+    wide = x.shape[:-1] + w1.shape[1:]
+    h1 = _linear(x, w1, params[f"{prefix}.b1"], ws.get(f"{slot}.h1", wide, x.dtype))
+    t = _gelu_tanh(h1, ws.get(f"{slot}.t", wide, x.dtype))
+    a = _gelu(h1, t, ws.get(f"{slot}.a", wide, x.dtype), ws.get("tmp", wide, x.dtype))
+    f = _linear(a, params[f"{prefix}.w2"], params[f"{prefix}.b2"],
+                ws.get(f"{slot}.ln2", x.shape, x.dtype))
+    f += x
+    out, ln_cache = _layer_norm(
+        f, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"],
+        ws.get(f"{slot}.x2", x.shape, x.dtype), ws,
+    )
     return out, {"x": x, "h1": h1, "t": t, "a": a, "ln": ln_cache}
 
 
@@ -321,30 +422,37 @@ def _classify(h_cls, params):
     return probs
 
 
-def _forward_cache(batch, params, config, dropout_rng=None):
+def _dropout_mask(rng, keep, out, ws):
+    """Inverted-dropout mask into ``out``: 1/keep where a uniform draw is
+    below keep, else 0."""
+    np.less(rng.random(out=ws.get("rand", out.shape, np.float64)), keep, out=out)
+    out /= keep
+    return out
+
+
+def _forward_cache(batch, params, config, dropout_rng=None, ws=None):
     # Dropout is on iff a rng is passed (training).
+    ws = ws or Workspace()
     rate = config.dropout_rate if dropout_rng is not None else 0.0
     keep = 1.0 - rate
 
-    x, emb_ln_cache = _embed_cache(batch, params, config)
+    x, emb_ln_cache = _embed_cache(batch, params, config, ws)
     emb_mask = None
     if rate > 0.0:
-        emb_mask = (dropout_rng.random(x.shape) < keep).astype(x.dtype) / keep
-        x = x * emb_mask
+        emb_mask = _dropout_mask(dropout_rng, keep, ws.get("emb_drop", x.shape, x.dtype), ws)
+        x *= emb_mask
 
-    bias = _mask_bias(batch.visible)
+    bias = _mask_bias(batch.visible, ws)
     layer_caches = []
     for i in range(config.n_layers):
         attn_mask = None
         if rate > 0.0:
             b, l = batch.token_ids.shape
-            attn_mask = (
-                dropout_rng.random((b, config.n_heads, l, l)) < keep
-            ).astype(x.dtype) / keep
-        x, attn_cache = _attention_block(
-            x, bias, params, f"l{i}", config, attn_dropout_mask=attn_mask
-        )
-        x, ffn_cache = _ffn_block(x, params, f"l{i}")
+            attn_mask = _dropout_mask(
+                dropout_rng, keep, ws.get(f"l{i}.drop", (b, config.n_heads, l, l), x.dtype), ws
+            )
+        x, attn_cache = _attention_block(x, bias, params, f"l{i}", config, ws, attn_mask)
+        x, ffn_cache = _ffn_block(x, params, f"l{i}", ws)
         layer_caches.append((attn_cache, ffn_cache))
 
     h_cls = x[:, 0, :]
@@ -356,16 +464,21 @@ def _forward_cache(batch, params, config, dropout_rng=None):
     return probs, cache
 
 
-def forward(batch: Batch, params: dict, config: EncoderConfig) -> np.ndarray:
+def forward(
+    batch: Batch, params: dict, config: EncoderConfig, ws: Workspace | None = None
+) -> np.ndarray:
     """Class probabilities (B, 2); rows sum to 1. Evaluation mode.
 
-    Keeps no backward caches, and runs the embedding and the layer stack on
-    row chunks of the batch sized by ``ATTN_CHUNK_BYTES``: only one chunk's
-    (rows, H, L, L) attention scores and mask bias are alive at a time, not
-    the batch's. Pairs never attend across rows, so this is exact. The
-    chunks' [CLS] states are gathered and classified in one matmul, so the
-    result does not depend on the chunk size.
+    Runs the embedding and the layer stack on row chunks of the batch sized
+    by ``ATTN_CHUNK_BYTES``, and every layer of every chunk writes into one
+    set of buffers in ``ws`` (a fresh ``Workspace`` if None; ``evaluate``
+    keeps one per call): only one chunk's (rows, H, L, L) attention scores
+    and mask bias exist at a time, not the batch's or each layer's. Pairs
+    never attend across rows, so this is exact. The chunks' [CLS] states are
+    gathered and classified in one matmul, so the result does not depend on
+    the chunk size.
     """
+    ws = ws or Workspace()
     b, l = batch.token_ids.shape
     itemsize = np.dtype(config.np_dtype).itemsize
     rows = max(1, ATTN_CHUNK_BYTES // (config.n_heads * l * l * itemsize))
@@ -376,12 +489,12 @@ def forward(batch: Batch, params: dict, config: EncoderConfig) -> np.ndarray:
             batch.token_ids[part], batch.soft_positions[part],
             batch.segments[part], batch.visible[part], None,
         )
-        x, _ = _embed_cache(chunk, params, config)
-        bias = _mask_bias(chunk.visible)
+        x, _ = _embed_cache(chunk, params, config, ws)
+        bias = _mask_bias(chunk.visible, ws)
         for i in range(config.n_layers):
-            # [0]: the block's cache is dropped at once, not held through the next block.
-            x = _attention_block(x, bias, params, f"l{i}", config)[0]
-            x = _ffn_block(x, params, f"l{i}")[0]
+            # One slot for all layers: each block reads the other block's output.
+            x = _attention_block(x, bias, params, f"l{i}", config, ws, slot="layer")[0]
+            x = _ffn_block(x, params, f"l{i}", ws, slot="layer")[0]
         h_cls[part] = x[:, 0, :]
     return _classify(h_cls, params)
 
@@ -400,12 +513,19 @@ def loss_and_gradients(
     params: dict,
     config: EncoderConfig,
     dropout_rng=None,
+    ws: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus exact analytic gradients for every parameter. Dropout
-    (at ``config.dropout_rate``) is applied iff ``dropout_rng`` is given."""
+    (at ``config.dropout_rate``) is applied iff ``dropout_rng`` is given.
+
+    The forward caches and the backward scratch live in ``ws`` (a fresh
+    ``Workspace`` if None). The returned gradients are new arrays, never
+    workspace buffers.
+    """
     if batch.labels is None:
         raise DomainError("gradients require a labeled batch")
-    probs, cache = _forward_cache(batch, params, config, dropout_rng)
+    ws = ws or Workspace()
+    probs, cache = _forward_cache(batch, params, config, dropout_rng, ws)
     loss_value = loss(probs, batch.labels)
 
     b = batch.size
@@ -418,69 +538,74 @@ def loss_and_gradients(
 
     grads["cls_w"] = cache["h_cls"].T @ dlogits
     grads["cls_b"] = dlogits.sum(axis=0)
-    b_, l_ = batch.token_ids.shape
-    dx = np.zeros((b_, l_, config.d_model), dtype=params["cls_w"].dtype)
+    dtype = params["cls_w"].dtype
+    dx = ws.get("dx", batch.token_ids.shape + (config.d_model,), dtype)
+    dx.fill(0.0)
     dx[:, 0, :] = dlogits @ params["cls_w"].T
 
+    h = config.n_heads
     scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
         prefix = f"l{i}"
         attn_cache, ffn_cache = cache["layers"][i]
 
         # FFN block: out = LN2(x1 + w2·gelu(w1·x1 + b1) + b2)
-        dz, dg, dbv = _layer_norm_backward(dx, ffn_cache["ln"], params[f"{prefix}.ln2_g"])
+        dz, dg, dbv = _layer_norm_backward(dx, ffn_cache["ln"], params[f"{prefix}.ln2_g"], ws)
         grads[f"{prefix}.ln2_g"] = dg
         grads[f"{prefix}.ln2_b"] = dbv
-        x1, h1, a = ffn_cache["x"], ffn_cache["h1"], ffn_cache["a"]
-        df = dz
-        grads[f"{prefix}.w2"] = a.reshape(-1, a.shape[-1]).T @ df.reshape(-1, df.shape[-1])
-        grads[f"{prefix}.b2"] = df.sum(axis=(0, 1))
-        da = df @ params[f"{prefix}.w2"].T
-        dh1 = da * _gelu_grad(h1, ffn_cache["t"])
-        grads[f"{prefix}.w1"] = x1.reshape(-1, x1.shape[-1]).T @ dh1.reshape(-1, dh1.shape[-1])
+        x1, h1, t, a = ffn_cache["x"], ffn_cache["h1"], ffn_cache["t"], ffn_cache["a"]
+        grads[f"{prefix}.w2"] = _rows(a).T @ _rows(dz)
+        grads[f"{prefix}.b2"] = dz.sum(axis=(0, 1))
+        # a and t are dead now: the GELU derivative goes into a, da into t.
+        dgelu = _gelu_grad(h1, t, a, ws.get("tmp", h1.shape, dtype))
+        dh1 = np.matmul(dz, params[f"{prefix}.w2"].T, out=t)
+        dh1 *= dgelu
+        grads[f"{prefix}.w1"] = _rows(x1).T @ _rows(dh1)
         grads[f"{prefix}.b1"] = dh1.sum(axis=(0, 1))
-        dx1 = dz + dh1 @ params[f"{prefix}.w1"].T
+        dx1 = np.matmul(dh1, params[f"{prefix}.w1"].T, out=ws.get("dx", dz.shape, dtype))
+        dx1 += dz
 
         # Attention block: x1 = LN1(x + attn(x))
-        dz, dg, dbv = _layer_norm_backward(dx1, attn_cache["ln"], params[f"{prefix}.ln1_g"])
+        dz, dg, dbv = _layer_norm_backward(dx1, attn_cache["ln"], params[f"{prefix}.ln1_g"], ws)
         grads[f"{prefix}.ln1_g"] = dg
         grads[f"{prefix}.ln1_b"] = dbv
-        x = attn_cache["x"]
-        dattn = dz
-        ctx = attn_cache["ctx"]
-        grads[f"{prefix}.wo"] = ctx.reshape(-1, ctx.shape[-1]).T @ dattn.reshape(-1, dattn.shape[-1])
-        grads[f"{prefix}.bo"] = dattn.sum(axis=(0, 1))
-        dctx = _split_heads(dattn @ params[f"{prefix}.wo"].T, config.n_heads)
-
-        used, weights, vh = attn_cache["used"], attn_cache["weights"], attn_cache["vh"]
-        dused = dctx @ vh.transpose(0, 1, 3, 2)
-        dvh = used.transpose(0, 1, 3, 2) @ dctx
-        dweights = dused if attn_cache["dropout"] is None else dused * attn_cache["dropout"]
-        # dweights is a fresh array here, so the softmax backward reuses it.
-        dscores = dweights
-        dscores -= (dweights * weights).sum(axis=-1, keepdims=True)
-        dscores *= weights
-        dqh = (dscores @ attn_cache["kh"]) * scale
-        dkh = (dscores.transpose(0, 1, 3, 2) @ attn_cache["qh"]) * scale
-
-        dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-        x_flat = x.reshape(-1, x.shape[-1])
-        grads[f"{prefix}.wq"] = x_flat.T @ dq.reshape(-1, dq.shape[-1])
-        grads[f"{prefix}.bq"] = dq.sum(axis=(0, 1))
-        grads[f"{prefix}.wk"] = x_flat.T @ dk.reshape(-1, dk.shape[-1])
-        grads[f"{prefix}.bk"] = dk.sum(axis=(0, 1))
-        grads[f"{prefix}.wv"] = x_flat.T @ dv.reshape(-1, dv.shape[-1])
-        grads[f"{prefix}.bv"] = dv.sum(axis=(0, 1))
-        dx = (
-            dz
-            + dq @ params[f"{prefix}.wq"].T
-            + dk @ params[f"{prefix}.wk"].T
-            + dv @ params[f"{prefix}.wv"].T
+        x, q, k, v = attn_cache["x"], attn_cache["q"], attn_cache["k"], attn_cache["v"]
+        weights, used = attn_cache["weights"], attn_cache["used"]
+        grads[f"{prefix}.wo"] = _rows(attn_cache["ctx"]).T @ _rows(dz)
+        grads[f"{prefix}.bo"] = dz.sum(axis=(0, 1))
+        # dctx goes into dx1's buffer; dv then lands in v's, dq in dctx's and
+        # dk in k's, each once its last reader is done.
+        dctx = np.matmul(dz, params[f"{prefix}.wo"].T, out=dx1)
+        dscores = np.matmul(
+            _split_heads(dctx, h), _split_heads(v, h).transpose(0, 1, 3, 2),
+            out=ws.get("dscores", weights.shape, dtype),
         )
+        dq, dk, dv = dctx, k, v
+        np.matmul(used.transpose(0, 1, 3, 2), _split_heads(dctx, h), out=_split_heads(dv, h))
+        if attn_cache["dropout"] is not None:
+            dscores *= attn_cache["dropout"]
+        dscores -= np.multiply(
+            dscores, weights, out=ws.get("tmp", weights.shape, dtype)
+        ).sum(axis=-1, keepdims=True)
+        dscores *= weights
+        np.matmul(dscores, _split_heads(k, h), out=_split_heads(dq, h))
+        np.matmul(dscores.transpose(0, 1, 3, 2), _split_heads(q, h), out=_split_heads(dk, h))
+        dq *= scale
+        dk *= scale
+
+        x_rows = _rows(x)
+        for n, dn in (("q", dq), ("k", dk), ("v", dv)):
+            grads[f"{prefix}.w{n}"] = x_rows.T @ _rows(dn)
+            grads[f"{prefix}.b{n}"] = dn.sum(axis=(0, 1))
+        # dx = dz + dq·wqᵀ + dk·wkᵀ + dv·wvᵀ, added in that order, into q's buffer.
+        dx = np.matmul(dq, params[f"{prefix}.wq"].T, out=q)
+        dx += dz
+        dx += np.matmul(dk, params[f"{prefix}.wk"].T, out=dq)
+        dx += np.matmul(dv, params[f"{prefix}.wv"].T, out=dk)
 
     if cache["emb_mask"] is not None:
-        dx = dx * cache["emb_mask"]
-    dsum, dg, dbv = _layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"])
+        dx *= cache["emb_mask"]
+    dsum, dg, dbv = _layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"], ws)
     grads["emb_ln_g"] = dg
     grads["emb_ln_b"] = dbv
     np.add.at(grads["tok_emb"], batch.token_ids, dsum)
@@ -522,29 +647,44 @@ def train_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
     dropout_seed: int | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState, float]:
-    """One Adam update. Aborts (params untouched) on non-finite gradients."""
+    """One Adam update: returns (params, state, loss), with the arrays of
+    ``params`` and of ``state.m`` and ``state.v`` updated in place. On
+    non-finite gradients it raises before touching any of them. ``ws`` holds
+    the step's temporaries; a run passes the same one to every step."""
+    ws = ws or Workspace()
     rng = None
     if config.dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed if dropout_seed is not None else 0)
-    loss_value, grads = loss_and_gradients(batch, params, config, dropout_rng=rng)
+    loss_value, grads = loss_and_gradients(batch, params, config, dropout_rng=rng, ws=ws)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient in {name}, step aborted")
 
     t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
-        g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_params[name] = p - update
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v), loss_value
+        g, m, v = grads[name], state.m[name], state.v[name]
+        u = ws.get("adam_u", g.shape, g.dtype)
+        s = ws.get("adam_s", g.shape, g.dtype)
+        # m = b1·m + (1 - b1)·g
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=u)
+        # v = b2·v + (1 - b2)·g²
+        v *= beta2
+        np.multiply(g, g, out=u)
+        u *= 1.0 - beta2
+        v += u
+        # p -= lr·(m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=u)
+        u *= lr
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += eps
+        u /= s
+        p -= u
+    return params, AdamState(step=t, m=state.m, v=state.v), loss_value
 
 
 def save_checkpoint(

@@ -20,6 +20,7 @@ from .encoder import (
     AdamState,
     Batch,
     EncoderConfig,
+    Workspace,
     forward,
     init_params,
     load_checkpoint,
@@ -280,9 +281,9 @@ def run_prepare(config: RunConfig) -> dict:
 
 def _line_to_sequence(line: dict) -> tuple:
     """Decode a batch line to (tokens, soft_positions, segments, visible,
-    label). The label must be 0 or 1. A line with sites is expanded into its
-    injected sequence; one without keeps hard positions and full visibility
-    (both None)."""
+    label). Token ids must be non-negative ints, segments 0 or 1, and the
+    label 0 or 1. A line with sites is expanded into its injected sequence;
+    one without keeps hard positions and full visibility (both None)."""
     if "soft_pos" in line or "visible_rows" in line:
         raise FormatError(
             "batch line in the old constrained format (soft_pos/visible_rows); "
@@ -295,17 +296,23 @@ def _line_to_sequence(line: dict) -> tuple:
         raise FormatError(f"batch line label must be 0 or 1, got {label!r}")
     if len(segments) != len(tokens):
         raise FormatError(f"{len(segments)} segments for {len(tokens)} tokens")
+    if not all(type(s) is int and s in (0, 1) for s in segments):
+        raise FormatError("batch line segments must be 0 or 1")
     if not line.get("sites"):
-        return (tokens, None, segments, None, label)
-    try:
-        branches = tuple(
-            Branch(tuple(site["head"]), tuple(site["know"])) for site in line["sites"]
-        )
-        tree = InjectionTree(tuple(tokens), branches)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad injection site in batch line: {exc}") from exc
-    inj = expand(tree, segments)
-    return (inj.tokens, inj.soft_positions, inj.segments, inj.visible, label)
+        seq = (tokens, None, segments, None, label)
+    else:
+        try:
+            branches = tuple(
+                Branch(tuple(site["head"]), tuple(site["know"])) for site in line["sites"]
+            )
+            tree = InjectionTree(tuple(tokens), branches)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad injection site in batch line: {exc}") from exc
+        inj = expand(tree, segments)
+        seq = (inj.tokens, inj.soft_positions, inj.segments, inj.visible, label)
+    if not all(type(t) is int and t >= 0 for t in seq[0]):
+        raise FormatError("batch line token ids must be non-negative ints")
+    return seq
 
 
 def _batches_of(seqs, order, batch_size, dtype):
@@ -315,9 +322,10 @@ def _batches_of(seqs, order, batch_size, dtype):
         yield Batch.from_sequences(chunk, pad_id=PAD_ID, dtype=dtype)
 
 
-def _load_prepared(config: RunConfig, split: str) -> tuple[dict, list[tuple]]:
+def _load_prepared(config: RunConfig, split: str, vocab_size: int) -> tuple[dict, list[tuple]]:
     """Read a prepared ``out_dir``: its manifest, checked against the config,
-    and one split's batch lines decoded by ``_line_to_sequence``."""
+    and one split's batch lines decoded by ``_line_to_sequence``, whose token
+    ids must be below ``vocab_size``."""
     out_dir = Path(config.out_dir)
     manifest_path = out_dir / "manifest.json"
     manifest = load_config_file(manifest_path)
@@ -335,18 +343,21 @@ def _load_prepared(config: RunConfig, split: str) -> tuple[dict, list[tuple]]:
     seqs = []
     for n, line in enumerate(read_batch_file(path), start=1):
         try:
-            seqs.append(_line_to_sequence(line))
+            seq = _line_to_sequence(line)
+            if max(seq[0], default=0) >= vocab_size:
+                raise FormatError(f"token id {max(seq[0])} >= vocabulary size {vocab_size}")
         except KnowmatchError as exc:  # also a bad site head (Domain/OverlapError)
             raise FormatError(f"{path}: batch line {n}: {exc}") from exc
+        seqs.append(seq)
     return manifest, seqs
 
 
 def run_train(config: RunConfig) -> dict:
     """Train on the prepared train split; writes checkpoint and loss log."""
     out_dir = Path(config.out_dir)
-    # Decoded once: constrained lines are not re-expanded every epoch.
-    manifest, seqs = _load_prepared(config, "train")
     tokenizer = Tokenizer.load(out_dir / "vocab.tsv")
+    # Decoded once: constrained lines are not re-expanded every epoch.
+    manifest, seqs = _load_prepared(config, "train", len(tokenizer))
 
     enc_config = EncoderConfig(
         vocab_size=len(tokenizer),
@@ -363,6 +374,9 @@ def run_train(config: RunConfig) -> dict:
     state = AdamState.init(params)
     rng = np.random.default_rng(config.seed)
     dtype = enc_config.np_dtype
+    # One workspace for the run: its buffers grow to the largest batch, and
+    # every later step reuses them instead of allocating large arrays.
+    ws = Workspace()
 
     checkpoint_path = out_dir / "checkpoint.bin"
     log_path = out_dir / "loss_log.jsonl"
@@ -373,17 +387,16 @@ def run_train(config: RunConfig) -> dict:
             order = rng.permutation(len(seqs)).tolist()
             for batch in _batches_of(seqs, order, config.batch_size, dtype):
                 try:
-                    params_new, state, loss_value = train_step(
+                    params, state, loss_value = train_step(
                         batch, params, state, config.lr, enc_config,
-                        dropout_seed=config.seed * 1_000_003 + step,
+                        dropout_seed=config.seed * 1_000_003 + step, ws=ws,
                     )
-                except NumericalError:
+                except NumericalError:  # raised before params changed
                     save_checkpoint(
                         checkpoint_path, params, enc_config, config.seed,
                         vocab_hash=manifest["vocab_hash"],
                     )
                     raise
-                params = params_new
                 losses.append(loss_value)
                 log.write(
                     json.dumps(
@@ -408,17 +421,18 @@ def run_train(config: RunConfig) -> dict:
 def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None) -> Metrics:
     """Evaluate the trained checkpoint on one prepared split (0.5 threshold)."""
     out_dir = Path(config.out_dir)
-    manifest, seqs = _load_prepared(config, split)
     checkpoint = Path(checkpoint) if checkpoint else out_dir / "checkpoint.bin"
     params, enc_config, _seed, header = load_checkpoint(checkpoint)
+    manifest, seqs = _load_prepared(config, split, enc_config.vocab_size)
     if header.get("vocab_hash") != manifest["vocab_hash"]:
         raise IncompatibleArtifactsError(
             "checkpoint vocabulary does not match the prepared batches"
         )
     predictions, labels = [], []
     order = list(range(len(seqs)))
+    ws = Workspace()
     for batch in _batches_of(seqs, order, config.batch_size, enc_config.np_dtype):
-        probs = forward(batch, params, enc_config)
+        probs = forward(batch, params, enc_config, ws)
         predictions.extend(np.argmax(probs, axis=1).tolist())
         labels.extend(batch.labels.tolist())
     metrics = Metrics.from_predictions(predictions, labels)

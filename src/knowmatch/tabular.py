@@ -117,12 +117,30 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
     """Read a CSV file strictly: UTF-8, comma, double quotes, no embedded newlines."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(csv.reader(_utf8_lines(fh)), start=1):
             for cell in row:
                 if "\n" in cell or "\r" in cell:
                     raise FormatError(f"{path}: embedded newline in row {lineno}")
             rows.append(row)
     return rows
+
+
+def _utf8_lines(fh) -> Iterator[str]:
+    """The lines of text file ``fh``, opened as UTF-8. Bytes that are not
+    UTF-8 raise a FormatError naming their line, found by a second, binary
+    pass: the text reader decodes whole blocks, so it cannot tell the line."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        with open(fh.name, "rb") as raw:
+            for lineno, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(
+                        f"{fh.name}: line {lineno}: not UTF-8: {exc.reason}"
+                    ) from None
+        raise FormatError(f"{fh.name}: not UTF-8") from None
 
 
 def json_object(text: str) -> dict:
@@ -146,10 +164,10 @@ def tsv_pair(text: str) -> tuple[str, str]:
 
 def read_lines(path: str | Path, parse: Callable[[str], object]) -> Iterator[tuple[int, object]]:
     """Yield ``(lineno, parse(line))`` for every non-blank line of a UTF-8
-    file. A ValueError from ``parse`` becomes a FormatError naming the path
-    and line."""
+    file. A ValueError from ``parse``, or a line that is not UTF-8, becomes
+    a FormatError naming the path and line."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue

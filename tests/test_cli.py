@@ -78,6 +78,19 @@ class TestPipeline:
         assert code == 2
         assert "missing" in err
 
+    def test_non_utf8_table_exit_2(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in synth_dir.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        with open(data / "tableA.csv", "ab") as fh:
+            fh.write(b"9,\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys, "prepare", "--data_dir", str(data), "--out_dir", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert "data error" in err and "tableA.csv: line" in err and "UTF-8" in err
+
     def test_mode_flag_equals_config_file(self, synth_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -167,6 +180,8 @@ class TestPipeline:
             ("batches/test.jsonl", "{bad"),
             ("batches/test.jsonl", "[1]"),
             ("batches/test.jsonl", '{"segments": [], "sites": [], "label": 0}'),
+            ("batches/test.jsonl", '{"tokens": [-1], "segments": [0], "sites": [], "label": 0}'),
+            ("batches/test.jsonl", '{"tokens": [99999], "segments": [0], "sites": [], "label": 0}'),
             ("manifest.json", "{bad"),
         ],
     )

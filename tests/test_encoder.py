@@ -234,14 +234,12 @@ class TestKernels:
 
     def test_gelu_matches_pow_form(self):
         x = np.random.default_rng(20).normal(size=(50, 40, 50))
-        t = enc._gelu_tanh(x, x * x)
-        for got, want in (
-            (enc._gelu(x), self.pow_gelu(x)),
-            (enc._gelu(x, t), self.pow_gelu(x)),
-            (enc._gelu_grad(x), self.pow_gelu_grad(x)),
-            (enc._gelu_grad(x, t), self.pow_gelu_grad(x)),
-        ):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        t = enc._gelu_tanh(x, np.empty_like(x))
+        gelu = enc._gelu(x, t, np.empty_like(x), np.empty_like(x))
+        # The derivative kernel overwrites the t it is given.
+        grad = enc._gelu_grad(x, t.copy(), np.empty_like(x), np.empty_like(x))
+        np.testing.assert_allclose(gelu, self.pow_gelu(x), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad, self.pow_gelu_grad(x), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mask", ["all_ones", "constrained"])
     def test_forward_equals_forward_cache_bitwise(self, mask):
@@ -291,7 +289,7 @@ class TestKernels:
     def test_forward_peak_memory_bounded_per_chunk(self):
         # The long-cell scoring shape: a whole-batch forward peaks at about
         # 218 MB here (scores and mask bias of all 16 rows), a chunked one at
-        # about 27 MB.
+        # about 15 MB.
         config = small_config(d_model=64, n_heads=4, d_ff=128, max_position=512)
         params = init_params(config)
         batch = random_batch(config, np.random.default_rng(24), b=16, l=512)
@@ -415,11 +413,12 @@ class TestTrainStep:
     def test_lr_zero_keeps_params(self):
         config = small_config()
         params = init_params(config)
+        before = {k: v.copy() for k, v in params.items()}
         batch = random_batch(config, np.random.default_rng(13))
         state = AdamState.init(params)
         new_params, new_state, _ = train_step(batch, params, state, 0.0, config)
         for name in params:
-            np.testing.assert_array_equal(new_params[name], params[name])
+            np.testing.assert_array_equal(new_params[name], before[name])
         assert new_state.step == 1
 
     def test_deterministic(self):
@@ -438,7 +437,14 @@ class TestTrainStep:
     def test_nan_gradient_aborts(self, monkeypatch):
         config = small_config()
         params = init_params(config)
-        before = {k: v.copy() for k, v in params.items()}
+        state = AdamState.init(params)
+        # Moments as after some steps, so an update would change them.
+        for moments in (state.m, state.v):
+            for k in moments:
+                moments[k] += 0.5
+        before = [
+            {k: v.copy() for k, v in arrays.items()} for arrays in (params, state.m, state.v)
+        ]
         batch = random_batch(config, np.random.default_rng(15))
 
         def bad_grads(*args, **kwargs):
@@ -448,9 +454,10 @@ class TestTrainStep:
 
         monkeypatch.setattr(enc, "loss_and_gradients", bad_grads)
         with pytest.raises(NumericalError):
-            train_step(batch, params, AdamState.init(params), 1e-3, config)
-        for name in params:
-            np.testing.assert_array_equal(params[name], before[name])
+            train_step(batch, params, state, 1e-3, config)
+        for arrays, saved in zip((params, state.m, state.v), before):
+            for name in params:
+                np.testing.assert_array_equal(arrays[name], saved[name])
 
     def test_loss_decreases_on_separable_toy_set(self):
         # Label = whether token 7 appears; 20 sequences, 50 steps.
@@ -490,6 +497,102 @@ class TestTrainStep:
         assert outs[0][0] == outs[1][0]
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
+
+
+class TestWorkspace:
+    # An epoch's full batches, its short last batch, then a shorter length.
+    SHAPES = ((16, 53), (8, 53), (16, 21))
+
+    @staticmethod
+    def batches(config, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for b, l in TestWorkspace.SHAPES:
+            batch = random_batch(config, rng, b=b, l=l)
+            visible = (rng.random((b, l, l)) < 0.7).astype(config.np_dtype)
+            visible[:, np.arange(l), np.arange(l)] = 1.0
+            segments = rng.integers(0, 2, size=(b, l))
+            out.append(
+                Batch(batch.token_ids, batch.soft_positions, segments, visible, batch.labels)
+            )
+        return out
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("use_segments", [True, False])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_reused_workspace_is_bitwise_fresh(self, n_layers, dropout, use_segments, dtype):
+        config = small_config(
+            n_layers=n_layers, dropout_rate=dropout, use_segments=use_segments,
+            dtype=dtype, max_position=64,
+        )
+        results = []
+        for ws in (None, enc.Workspace()):
+            params = init_params(config)
+            state = AdamState.init(params)
+            losses = []
+            for step, batch in enumerate(self.batches(config, 31)):
+                params, state, value = train_step(
+                    batch, params, state, 1e-3, config, dropout_seed=step, ws=ws
+                )
+                losses.append(value)
+            results.append((losses, params))
+        assert results[0][0] == results[1][0]
+        for name, value in results[0][1].items():
+            assert value.tobytes() == results[1][1][name].tobytes(), name
+
+    def test_reused_workspace_forward_is_bitwise_fresh(self, monkeypatch):
+        # Two rows per chunk, so chunks and layers share one slot.
+        monkeypatch.setattr(enc, "ATTN_CHUNK_BYTES", 2 * 2 * 53 * 53 * 8)
+        config = small_config(max_position=64)
+        params = init_params(config)
+        ws = enc.Workspace()
+        for batch in self.batches(config, 34):
+            np.testing.assert_array_equal(
+                forward(batch, params, config, ws), forward(batch, params, config)
+            )
+            probs, _ = enc._forward_cache(batch, params, config)
+            np.testing.assert_array_equal(forward(batch, params, config, ws), probs)
+
+    def test_warm_step_allocates_little(self):
+        # The constrained workload's step shape. Without a workspace a step
+        # allocates about 28 MB of fresh temporaries here.
+        config = small_config(
+            vocab_size=500, d_model=64, n_heads=4, d_ff=128, max_position=64
+        )
+        params = init_params(config)
+        state = AdamState.init(params)
+        batch = self.batches(config, 32)[0]
+        ws = enc.Workspace()
+        params, state, _ = train_step(batch, params, state, 1e-3, config, ws=ws)
+        tracemalloc.start()
+        try:
+            train_step(batch, params, state, 1e-3, config, ws=ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_gradients_do_not_alias_the_workspace(self):
+        config = small_config(max_position=64, dropout_rate=0.1)
+        params = init_params(config)
+        first, second = self.batches(config, 33)[:2]
+        ws = enc.Workspace()
+        _, grads = loss_and_gradients(first, params, config, np.random.default_rng(1), ws)
+        kept = {name: g.copy() for name, g in grads.items()}
+        loss_and_gradients(second, params, config, np.random.default_rng(2), ws)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, kept[name])
+
+    def test_grown_buffer_leaves_handed_out_arrays_intact(self):
+        ws = enc.Workspace()
+        small = ws.get("x", (2, 3), np.float64)
+        small[...] = 1.0
+        big = ws.get("x", (4, 5), np.float64)
+        big[...] = 2.0
+        assert (small == 1.0).all()
+        # A smaller request is a prefix view of the grown buffer.
+        assert np.shares_memory(ws.get("x", (3, 2), np.float64), big)
 
 
 class TestCheckpoint:

@@ -351,6 +351,23 @@ class TestBatchLines:
         with pytest.raises(FormatError, match="label"):
             _line_to_sequence(dict(self.LINE, sites=[], label=label))
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tokens": [0, -1, 8, 9, 1]},
+            {"tokens": [0, "a", 8, 9, 1]},
+            {"tokens": [0, 7.0, 8, 9, 1]},
+            {"tokens": [0, True, 8, 9, 1]},
+            {"segments": [0, 0, 2, 0, 0]},
+            {"segments": [0, -1, 0, 0, 0]},
+            {"segments": [0, "0", 0, 0, 0]},
+            {"sites": [{"head": [2, 3], "know": [-4], "kind": "entity"}]},
+        ],
+    )
+    def test_bad_token_or_segment_rejected(self, change):
+        with pytest.raises(FormatError, match="token ids|segments"):
+            _line_to_sequence({**self.LINE, "sites": [], **change})
+
     def test_missing_label_rejected(self):
         line = {"tokens": self.LINE["tokens"], "segments": self.LINE["segments"], "sites": []}
         with pytest.raises(FormatError, match="label"):
@@ -410,6 +427,20 @@ class TestBatchLines:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(bad + "\n")
         with pytest.raises(FormatError, match=rf"{phase}\.jsonl: (batch )?line {n_lines + 1}: "):
+            run_train(config) if phase == "train" else evaluate(config, phase)
+
+    @pytest.mark.parametrize("phase", ["train", "test"])
+    def test_token_id_beyond_vocabulary_rejected(self, small_dataset, tmp_path, phase):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        run_train(config)
+        size = len(Tokenizer.load(tmp_path / "out" / "vocab.tsv"))
+        path = tmp_path / "out" / "batches" / f"{phase}.jsonl"
+        lines = read_batch_file(path)
+        lines[1]["tokens"][1] = size
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        expected = rf"{phase}\.jsonl: batch line 2: token id {size} >= vocabulary size {size}"
+        with pytest.raises(FormatError, match=expected):
             run_train(config) if phase == "train" else evaluate(config, phase)
 
     def test_evaluate_rejects_unlabeled_line(self, small_dataset, tmp_path):

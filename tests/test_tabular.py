@@ -74,6 +74,12 @@ class TestLoadTable:
         with pytest.raises(FormatError):
             load_table(path)
 
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,title\n0,a\n9,\xff\xfe\n")
+        with pytest.raises(FormatError, match=r"t\.csv: line 3: not UTF-8"):
+            load_table(path)
+
     def test_itunes_amazon_shape(self, tmp_path):
         # 539 rows, 8 attributes, like the small music benchmark table.
         header = "id," + ",".join(f"attr{i}" for i in range(8))
@@ -239,4 +245,12 @@ class TestReadLines:
     def test_parse_failure_names_path_and_line(self, tmp_path, text, parse):
         path = write(tmp_path / "f.txt", text)
         with pytest.raises(FormatError, match=r"f\.txt: line 2: "):
+            list(read_lines(path, parse))
+
+    @pytest.mark.parametrize("line, parse", [(b'{"a": 1}', json_object), (b"a\tb", tsv_pair)])
+    def test_non_utf8_names_path_and_line(self, tmp_path, line, parse):
+        # Past the first block the text reader decodes at once.
+        path = tmp_path / "f.txt"
+        path.write_bytes((line + b"\n") * 3000 + line + b"\xff\n" + line + b"\n")
+        with pytest.raises(FormatError, match=r"f\.txt: line 3001: not UTF-8"):
             list(read_lines(path, parse))
