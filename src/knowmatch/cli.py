@@ -40,30 +40,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One ``--<field>`` flag per bool, int, float or str field of dataclass
+    ``cls``, defaulting to None: an unset flag overrides nothing."""
+    for f in fields(cls):
+        names = (f"--{f.name}",) + (("--mode",) if f.name == "prompt_mode" else ())
+        if f.type == "bool":
+            parser.add_argument(*names, action=argparse.BooleanOptionalAction, default=None)
+        elif f.type in ("int", "float"):
+            parser.add_argument(*names, type=int if f.type == "int" else float, default=None)
+        elif f.type.startswith("str"):
+            parser.add_argument(*names, default=None)
+
+
+def _field_values(args: argparse.Namespace, cls) -> dict:
+    """The flags of ``cls``'s fields that were given, by field name."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(cls)
+        if getattr(args, f.name, None) is not None
+    }
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file")
     parser.add_argument("--profile", choices=("full", "desk"), help="preset overrides")
-    for f in fields(RunConfig):
-        flag = f"--{f.name}"
-        extra = ("--mode",) if f.name == "prompt_mode" else ()
-        if f.type == "bool":
-            parser.add_argument(flag, *extra, action=argparse.BooleanOptionalAction, default=None)
-        elif f.type == "int":
-            parser.add_argument(flag, *extra, type=int, default=None)
-        elif f.type == "float":
-            parser.add_argument(flag, *extra, type=float, default=None)
-        else:
-            parser.add_argument(flag, *extra, default=None)
+    _add_field_flags(parser, RunConfig)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return resolve_config(file_values, overrides, profile=args.profile)
+    return resolve_config(file_values, _field_values(args, RunConfig), profile=args.profile)
 
 
 def _build_parser() -> _Parser:
@@ -87,13 +94,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth")
     p.add_argument("--out", required=True)
-    p.add_argument("--entities", type=int, default=100)
-    p.add_argument("--ambiguity", type=int, default=2)
-    p.add_argument("--match_rate", type=float, default=0.5)
-    p.add_argument("--perturbation", type=float, default=0.0)
-    p.add_argument("--extra_columns", type=int, default=1)
-    p.add_argument("--train_frac", type=float, default=0.8)
-    p.add_argument("--valid_frac", type=float, default=0.0)
+    _add_field_flags(p, SyntheticSpec)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("annotate")
@@ -143,15 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             result = compare(config_a, config_b, split=args.split)
             print(json.dumps(result, sort_keys=True))
         elif args.command == "synth":
-            spec = SyntheticSpec(
-                entities=args.entities,
-                ambiguity=args.ambiguity,
-                match_rate=args.match_rate,
-                perturbation=args.perturbation,
-                extra_columns=args.extra_columns,
-                train_frac=args.train_frac,
-                valid_frac=args.valid_frac,
-            )
+            spec = SyntheticSpec(**_field_values(args, SyntheticSpec))
             dataset = generate_synthetic(spec, args.seed)
             write_synthetic(dataset, args.out)
             print(

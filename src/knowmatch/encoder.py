@@ -259,9 +259,11 @@ def _gelu_grad(x, t, out, tmp):
 
 
 def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _split_heads(x, n_heads):
@@ -345,9 +347,7 @@ def _attention_block(x, bias, params, prefix, config, ws, attn_dropout_mask=None
     )
     weights *= scale
     weights += bias
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    _softmax(weights)
     used = weights
     if attn_dropout_mask is not None:
         used = np.multiply(
@@ -370,6 +370,12 @@ def _attention_block(x, bias, params, prefix, config, ws, attn_dropout_mask=None
     return out, cache
 
 
+def _one_attention(hidden, visible, params, config, layer):
+    """(output, cache) of one layer's attention block, in a fresh workspace."""
+    ws = Workspace()
+    return _attention_block(hidden, _mask_bias(visible, ws), params, f"l{layer}", config, ws)
+
+
 def masked_attention(
     hidden: np.ndarray,
     visible: np.ndarray,
@@ -378,9 +384,7 @@ def masked_attention(
     layer: int = 0,
 ) -> np.ndarray:
     """Apply one layer's masked attention block to hidden states."""
-    ws = Workspace()
-    out, _ = _attention_block(hidden, _mask_bias(visible, ws), params, f"l{layer}", config, ws)
-    return out
+    return _one_attention(hidden, visible, params, config, layer)[0]
 
 
 def attention_weights(
@@ -391,9 +395,7 @@ def attention_weights(
     layer: int = 0,
 ) -> np.ndarray:
     """Post-softmax attention weights (B, H, L, L) of one layer, for inspection."""
-    ws = Workspace()
-    _, cache = _attention_block(hidden, _mask_bias(visible, ws), params, f"l{layer}", config, ws)
-    return cache["weights"]
+    return _one_attention(hidden, visible, params, config, layer)[1]["weights"]
 
 
 def _ffn_block(x, params, prefix, ws, slot=None):
@@ -422,46 +424,41 @@ def _classify(h_cls, params):
     return probs
 
 
-def _dropout_mask(rng, keep, out, ws):
-    """Inverted-dropout mask into ``out``: 1/keep where a uniform draw is
-    below keep, else 0."""
-    np.less(rng.random(out=ws.get("rand", out.shape, np.float64)), keep, out=out)
+def _dropout_mask(rng, rate, ws, name, shape, dtype):
+    """Inverted-dropout mask into ``ws[name]``: 1/keep where a uniform draw
+    is below keep = 1 - rate, else 0. None (no dropout) without a rng or at
+    rate 0."""
+    if rng is None or not rate > 0.0:
+        return None
+    keep = 1.0 - rate
+    out = ws.get(name, shape, dtype)
+    np.less(rng.random(out=ws.get("rand", shape, np.float64)), keep, out=out)
     out /= keep
     return out
 
 
-def _forward_cache(batch, params, config, dropout_rng=None, ws=None):
-    # Dropout is on iff a rng is passed (training).
-    ws = ws or Workspace()
-    rate = config.dropout_rate if dropout_rng is not None else 0.0
-    keep = 1.0 - rate
-
+def _encode(batch, params, config, ws, dropout_rng=None, slot=None):
+    """Embedding, dropout (at ``config.dropout_rate``, iff ``dropout_rng`` is
+    given), mask bias and the layer stack: the final hidden states (B, L, d)
+    and the caches that the backward pass reads. ``slot`` as in
+    ``_attention_block``."""
+    rate = config.dropout_rate
     x, emb_ln_cache = _embed_cache(batch, params, config, ws)
-    emb_mask = None
-    if rate > 0.0:
-        emb_mask = _dropout_mask(dropout_rng, keep, ws.get("emb_drop", x.shape, x.dtype), ws)
+    emb_mask = _dropout_mask(dropout_rng, rate, ws, "emb_drop", x.shape, x.dtype)
+    if emb_mask is not None:
         x *= emb_mask
 
     bias = _mask_bias(batch.visible, ws)
+    b, l = batch.token_ids.shape
     layer_caches = []
     for i in range(config.n_layers):
-        attn_mask = None
-        if rate > 0.0:
-            b, l = batch.token_ids.shape
-            attn_mask = _dropout_mask(
-                dropout_rng, keep, ws.get(f"l{i}.drop", (b, config.n_heads, l, l), x.dtype), ws
-            )
-        x, attn_cache = _attention_block(x, bias, params, f"l{i}", config, ws, attn_mask)
-        x, ffn_cache = _ffn_block(x, params, f"l{i}", ws)
+        attn_mask = _dropout_mask(
+            dropout_rng, rate, ws, f"l{i}.drop", (b, config.n_heads, l, l), x.dtype
+        )
+        x, attn_cache = _attention_block(x, bias, params, f"l{i}", config, ws, attn_mask, slot)
+        x, ffn_cache = _ffn_block(x, params, f"l{i}", ws, slot)
         layer_caches.append((attn_cache, ffn_cache))
-
-    h_cls = x[:, 0, :]
-    probs = _classify(h_cls, params)
-    cache = {
-        "emb_ln": emb_ln_cache, "emb_mask": emb_mask, "layers": layer_caches,
-        "h_cls": h_cls, "probs": probs,
-    }
-    return probs, cache
+    return x, {"emb_ln": emb_ln_cache, "emb_mask": emb_mask, "layers": layer_caches}
 
 
 def forward(
@@ -469,12 +466,12 @@ def forward(
 ) -> np.ndarray:
     """Class probabilities (B, 2); rows sum to 1. Evaluation mode.
 
-    Runs the embedding and the layer stack on row chunks of the batch sized
-    by ``ATTN_CHUNK_BYTES``, and every layer of every chunk writes into one
-    set of buffers in ``ws`` (a fresh ``Workspace`` if None; ``evaluate``
-    keeps one per call): only one chunk's (rows, H, L, L) attention scores
-    and mask bias exist at a time, not the batch's or each layer's. Pairs
-    never attend across rows, so this is exact. The chunks' [CLS] states are
+    Runs ``_encode`` on row chunks of the batch sized by
+    ``ATTN_CHUNK_BYTES``, and every layer of every chunk writes into one set
+    of buffers in ``ws`` (a fresh ``Workspace`` if None; ``evaluate`` keeps
+    one per call): only one chunk's (rows, H, L, L) attention scores and
+    mask bias exist at a time, not the batch's or each layer's. Pairs never
+    attend across rows, so this is exact. The chunks' [CLS] states are
     gathered and classified in one matmul, so the result does not depend on
     the chunk size.
     """
@@ -489,12 +486,8 @@ def forward(
             batch.token_ids[part], batch.soft_positions[part],
             batch.segments[part], batch.visible[part], None,
         )
-        x, _ = _embed_cache(chunk, params, config, ws)
-        bias = _mask_bias(chunk.visible, ws)
-        for i in range(config.n_layers):
-            # One slot for all layers: each block reads the other block's output.
-            x = _attention_block(x, bias, params, f"l{i}", config, ws, slot="layer")[0]
-            x = _ffn_block(x, params, f"l{i}", ws, slot="layer")[0]
+        # One slot for all layers: each block reads the other block's output.
+        x, _ = _encode(chunk, params, config, ws, slot="layer")
         h_cls[part] = x[:, 0, :]
     return _classify(h_cls, params)
 
@@ -525,7 +518,9 @@ def loss_and_gradients(
     if batch.labels is None:
         raise DomainError("gradients require a labeled batch")
     ws = ws or Workspace()
-    probs, cache = _forward_cache(batch, params, config, dropout_rng, ws)
+    x, cache = _encode(batch, params, config, ws, dropout_rng)
+    h_cls = x[:, 0, :]
+    probs = _classify(h_cls, params)
     loss_value = loss(probs, batch.labels)
 
     b = batch.size
@@ -536,7 +531,7 @@ def loss_and_gradients(
     dlogits[np.arange(b), batch.labels] -= 1.0
     dlogits /= b
 
-    grads["cls_w"] = cache["h_cls"].T @ dlogits
+    grads["cls_w"] = h_cls.T @ dlogits
     grads["cls_b"] = dlogits.sum(axis=0)
     dtype = params["cls_w"].dtype
     dx = ws.get("dx", batch.token_ids.shape + (config.d_model,), dtype)
@@ -614,12 +609,6 @@ def loss_and_gradients(
         np.add.at(grads["seg_emb"], batch.segments, dsum)
 
     return loss_value, grads
-
-
-def gradients(batch: Batch, params: dict, config: EncoderConfig) -> dict[str, np.ndarray]:
-    """Analytic gradients of the mean classification loss."""
-    _, grads = loss_and_gradients(batch, params, config)
-    return grads
 
 
 @dataclass

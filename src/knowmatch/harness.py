@@ -10,6 +10,7 @@ and seed so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -62,6 +63,16 @@ SEED_ENV_VAR = "KAER_SEED"
 DESK_PROFILE = {"batch_size": 16, "epochs": 10, "lr": 1e-3, "max_len": 128}
 
 
+def _has_type(value, annotation: str) -> bool:
+    """Whether a config value has its field's declared type. A bool is not a
+    number here, and an int is a valid float."""
+    if annotation == "str | None" and value is None:
+        return True
+    return type(value) in {"int": (int,), "float": (int, float), "bool": (bool,)}.get(
+        annotation, (str,)
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     data_dir: str = "."
@@ -86,9 +97,24 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise FormatError(f"config key {f.name} must be {f.type}, got {value!r}")
         PromptMode.from_string(self.prompt_mode)  # validates
         if self.ditto_mode.lower() not in ("off", "general", "product"):
             raise DomainError(f"unknown ditto_mode {self.ditto_mode!r}")
+        # 8 is the least max_len that serialize_pair accepts.
+        for name, lowest in (
+            ("d_model", 1), ("n_heads", 1), ("n_layers", 0), ("d_ff", 1), ("min_count", 1),
+            ("batch_size", 1), ("epochs", 0), ("max_len", 8), ("seed", 0),
+        ):
+            if getattr(self, name) < lowest:
+                raise DomainError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise DomainError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.lr < math.inf:
+            raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if self.threads != 1:
             raise DomainError("threads accepts only 1; it pins no BLAS threads")
 
@@ -281,9 +307,10 @@ def run_prepare(config: RunConfig) -> dict:
 
 def _line_to_sequence(line: dict) -> tuple:
     """Decode a batch line to (tokens, soft_positions, segments, visible,
-    label). Token ids must be non-negative ints, segments 0 or 1, and the
-    label 0 or 1. A line with sites is expanded into its injected sequence;
-    one without keeps hard positions and full visibility (both None)."""
+    label). Token ids must be non-negative ints, segments and the label the
+    ints 0 or 1, and site heads pairs of ints. A line with sites is expanded
+    into its injected sequence; one without keeps hard positions and full
+    visibility (both None)."""
     if "soft_pos" in line or "visible_rows" in line:
         raise FormatError(
             "batch line in the old constrained format (soft_pos/visible_rows); "
@@ -292,7 +319,7 @@ def _line_to_sequence(line: dict) -> tuple:
     tokens, segments, label = line.get("tokens"), line.get("segments"), line.get("label")
     if not isinstance(tokens, list) or not isinstance(segments, list):
         raise FormatError("batch line tokens and segments must be lists")
-    if label not in (0, 1):
+    if type(label) is not int or label not in (0, 1):
         raise FormatError(f"batch line label must be 0 or 1, got {label!r}")
     if len(segments) != len(tokens):
         raise FormatError(f"{len(segments)} segments for {len(tokens)} tokens")
@@ -305,6 +332,8 @@ def _line_to_sequence(line: dict) -> tuple:
             branches = tuple(
                 Branch(tuple(site["head"]), tuple(site["know"])) for site in line["sites"]
             )
+            if not all(type(i) is int for br in branches for i in br.head):
+                raise TypeError("site heads must be ints")
             tree = InjectionTree(tuple(tokens), branches)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad injection site in batch line: {exc}") from exc

@@ -45,7 +45,7 @@ class SyntheticSpec:
     cross-name pairs only when needed to hit ``match_rate``.
     """
 
-    entities: int
+    entities: int = 100
     ambiguity: int = 2
     categories: tuple[str, ...] = ("artist", "airline", "resort", "brand")
     match_rate: float = 0.5

@@ -113,16 +113,24 @@ class LabeledPairSet:
         return sum(p.label for p in self.pairs)
 
 
-def _read_csv_rows(path: str | Path) -> list[list[str]]:
-    """Read a CSV file strictly: UTF-8, comma, double quotes, no embedded newlines."""
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV file strictly: UTF-8, comma, double quotes, no embedded
+    newlines, every row as wide as the header. Returns the header and the
+    rows after it; row ``i`` of those is on line ``i + 2``."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(_utf8_lines(fh)), start=1):
             for cell in row:
                 if "\n" in cell or "\r" in cell:
                     raise FormatError(f"{path}: embedded newline in row {lineno}")
+            if rows and len(row) != len(rows[0]):
+                raise FormatError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(rows[0])}"
+                )
             rows.append(row)
-    return rows
+    if not rows:
+        raise FormatError(f"{path}: missing header")
+    return rows[0], rows[1:]
 
 
 def _utf8_lines(fh) -> Iterator[str]:
@@ -192,10 +200,7 @@ def load_table(path: str | Path, name: str | None = None) -> Table:
     empty strings.
     """
     path = Path(path)
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: missing header")
-    header = rows[0]
+    header, body = _read_csv(path)
     if "id" not in header:
         raise FormatError(f"{path}: header has no 'id' column")
     id_pos = header.index("id")
@@ -204,11 +209,7 @@ def load_table(path: str | Path, name: str | None = None) -> Table:
         raise FormatError(f"{path}: empty column name in header")
 
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
+    for row in body:
         entry_id = row[id_pos]
         cells = tuple(
             (header[i], row[i]) for i in range(len(header)) if i != id_pos
@@ -240,10 +241,7 @@ def load_pairs(
     when it is one of train/valid/test.
     """
     path = Path(path)
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: missing header")
-    header = rows[0]
+    header, body = _read_csv(path)
     try:
         li = header.index("ltable_id")
         ri = header.index("rtable_id")
@@ -252,11 +250,7 @@ def load_pairs(
         raise FormatError(f"{path}: expected ltable_id,rtable_id,label header") from exc
 
     pairs = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
+    for lineno, row in enumerate(body, start=2):
         left_id, right_id, raw_label = row[li], row[ri], row[yi]
         if left_id not in left:
             raise DanglingReferenceError(

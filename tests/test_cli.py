@@ -196,6 +196,20 @@ class TestPipeline:
         assert code == 2
         assert "data error" in err and target.split("/")[-1] in err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [("--batch_size", "0"), ("--epochs", "-3"), ("--n_heads", "0"), ("--seed", "-1"),
+         ("--dropout", "1.0"), ("--lr", "nan")],
+    )
+    def test_bad_config_value_exit_2(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "train", "--data_dir", str(synth_dir), "--out_dir", str(out), *flag
+        )
+        assert code == 2
+        assert "data error" in err and flag[0][2:] in err
+        assert not out.exists()
+
     def test_numerical_error_exit_3(self, synth_dir, tmp_path, capsys, monkeypatch):
         def explode(config):
             raise NumericalError("boom")

@@ -13,7 +13,6 @@ from knowmatch.encoder import (
     attention_weights,
     embed,
     forward,
-    gradients,
     init_params,
     load_checkpoint,
     loss,
@@ -43,6 +42,13 @@ def random_batch(config, rng, b=3, l=8, visible=None, labels=None):
     vis = np.ones((b, l, l)) if visible is None else visible
     lab = labels if labels is not None else rng.integers(0, 2, size=b)
     return Batch(ids, soft, seg, vis, lab)
+
+
+def whole_batch_probs(batch, params, config):
+    """The training walk's probabilities: ``_encode`` on the whole batch with
+    a slot per layer, classified as ``loss_and_gradients`` does."""
+    x, _ = enc._encode(batch, params, config, enc.Workspace())
+    return enc._classify(x[:, 0, :], params)
 
 
 class TestEmbed:
@@ -85,7 +91,7 @@ class TestEmbed:
         np.testing.assert_array_equal(
             embed(batch_a, params, config), embed(batch_b, params, config)
         )
-        grads = gradients(batch_a, params, config)
+        grads = loss_and_gradients(batch_a, params, config)[1]
         assert np.all(grads["seg_emb"] == 0.0)
 
 
@@ -253,7 +259,7 @@ class TestKernels:
             visible[:, np.arange(8), np.arange(8)] = 1.0
             visible[2, 6:, :] = visible[2, :, 6:] = 0.0  # padding
         batch = random_batch(config, rng, visible=visible)
-        probs, _ = enc._forward_cache(batch, params, config)
+        probs = whole_batch_probs(batch, params, config)
         np.testing.assert_array_equal(forward(batch, params, config), probs)
 
     @pytest.mark.parametrize("mask", ["all_ones_padded", "constrained"])
@@ -271,7 +277,7 @@ class TestKernels:
             visible = np.maximum(visible, visible.transpose(0, 2, 1))
             visible[:, np.arange(l), np.arange(l)] = 1.0
         batch = random_batch(config, rng, b=b, l=l, visible=visible)
-        probs, _ = enc._forward_cache(batch, params, config)
+        probs = whole_batch_probs(batch, params, config)
 
         # Room for two rows of scores: chunks of 2, 2 and 1 rows.
         monkeypatch.setattr(enc, "ATTN_CHUNK_BYTES", 2 * config.n_heads * l * l * 8)
@@ -345,7 +351,7 @@ class TestGradients:
         config = small_config(n_layers=n_layers, use_segments=use_segments, dtype=dtype)
         params = init_params(config)
         batch = random_batch(config, np.random.default_rng(4))
-        grads = gradients(batch, params, config)
+        grads = loss_and_gradients(batch, params, config)[1]
         assert set(grads) == set(params)
         for name, arr in params.items():
             assert grads[name].shape == arr.shape, name
@@ -363,7 +369,7 @@ class TestGradients:
             ids, np.tile(np.arange(8), (3, 1)), np.zeros((3, 8), dtype=int),
             np.ones((3, 8, 8)), rng.integers(0, 2, size=3),
         )
-        grads = gradients(batch, params, config)
+        grads = loss_and_gradients(batch, params, config)[1]
         assert np.all(grads["tok_emb"][unused] == 0.0)
 
     def test_token_invisible_to_cls_gets_no_gradient_one_layer(self):
@@ -379,7 +385,7 @@ class TestGradients:
         visible[0, :, 3] = 0
         visible[0, 3, 3] = 1
         batch = Batch(ids, soft, seg, visible, np.array([1]))
-        grads = gradients(batch, params, config)
+        grads = loss_and_gradients(batch, params, config)[1]
         # Unique token id 9 and position 3 feed only the dead token.
         assert np.all(grads["tok_emb"][9] == 0.0)
         assert np.all(grads["pos_emb"][3] == 0.0)
@@ -551,7 +557,7 @@ class TestWorkspace:
             np.testing.assert_array_equal(
                 forward(batch, params, config, ws), forward(batch, params, config)
             )
-            probs, _ = enc._forward_cache(batch, params, config)
+            probs = whole_batch_probs(batch, params, config)
             np.testing.assert_array_equal(forward(batch, params, config, ws), probs)
 
     def test_warm_step_allocates_little(self):

@@ -114,6 +114,47 @@ class TestResolveConfig:
         with pytest.raises(DomainError):
             RunConfig(threads=4)
 
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ({"batch_size": 0}, DomainError),
+            ({"batch_size": -1}, DomainError),
+            ({"epochs": -3}, DomainError),
+            ({"n_heads": 0}, DomainError),
+            ({"d_model": 0}, DomainError),
+            ({"d_ff": 0}, DomainError),
+            ({"n_layers": -1}, DomainError),
+            ({"min_count": 0}, DomainError),
+            ({"max_len": 7}, DomainError),
+            ({"seed": -1}, DomainError),
+            ({"dropout": -0.5}, DomainError),
+            ({"dropout": 1.0}, DomainError),
+            ({"lr": -1.0}, DomainError),
+            ({"lr": 0}, DomainError),
+            ({"lr": float("nan")}, DomainError),
+            ({"lr": float("inf")}, DomainError),
+            ({"batch_size": "16"}, FormatError),
+            ({"batch_size": 16.0}, FormatError),
+            ({"epochs": True}, FormatError),
+            ({"lr": "1e-3"}, FormatError),
+            ({"prompt_mode": 3}, FormatError),
+            ({"use_segments": "no"}, FormatError),
+            ({"use_segments": 1}, FormatError),
+            ({"gazetteer": 5}, FormatError),
+            ({"data_dir": None}, FormatError),
+        ],
+    )
+    def test_bad_value_rejected(self, values, error):
+        with pytest.raises(error):
+            resolve_config(values, env={})
+
+    def test_edge_values_accepted(self):
+        config = resolve_config(
+            {"epochs": 0, "n_layers": 0, "seed": 0, "dropout": 0, "lr": 1, "max_len": 8},
+            env={},
+        )
+        assert (config.epochs, config.n_layers, config.lr) == (0, 0, 1)
+
 
 class TestPrepare:
     def test_manifest_and_batches(self, small_dataset, tmp_path):
@@ -337,6 +378,9 @@ class TestBatchLines:
             ([-1, 2], DomainError),
             ([2], FormatError),
             (["a", 2], FormatError),
+            ([1.5, 3], FormatError),
+            ([1, 3.0], FormatError),
+            ([True, 3], FormatError),
             (None, FormatError),
         ],
     )
@@ -346,7 +390,7 @@ class TestBatchLines:
         with pytest.raises(error):
             _line_to_sequence(line)
 
-    @pytest.mark.parametrize("label", [None, 2, -1, "1", [1]])
+    @pytest.mark.parametrize("label", [None, 2, -1, "1", [1], True, 1.0, 0.0])
     def test_bad_label_rejected(self, label):
         with pytest.raises(FormatError, match="label"):
             _line_to_sequence(dict(self.LINE, sites=[], label=label))
