@@ -45,6 +45,13 @@ class EncoderConfig:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "max_position"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise DomainError(f"n_layers must be >= 0, got {self.n_layers}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise DomainError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.d_model % self.n_heads != 0:
             raise DomainError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -323,45 +330,53 @@ def _mask_bias(visible, ws):
     return bias[:, None]
 
 
-def _attention_block(x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None):
+def _attention_block(
+    x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None, cls_only=False
+):
     """One attention sub-block: projections, masked softmax, residual, LN.
 
     ``bias`` is ``_mask_bias(visible)``, built once per forward pass (once
-    per row chunk in ``forward``). The arrays go into ``ws`` under ``slot``,
-    which defaults to the layer's ``prefix``: training keeps each layer's
-    arrays for the backward pass.
+    per row chunk in ``forward``), and ``attn_dropout_mask`` is a full
+    (B, H, L, L) mask. With ``cls_only`` only row 0 ([CLS]) queries: K and V
+    are still projected for every row, but the scores are (B, H, 1, L) and
+    the output is (B, 1, d). The arrays go into ``ws`` under ``slot``, which
+    defaults to the layer's ``prefix``: training keeps each layer's arrays
+    for the backward pass.
     """
     slot = slot or prefix
     h = config.n_heads
     b, l, _ = x.shape
+    lq = 1 if cls_only else l
+    xq = x[:, :lq]
     scale = 1.0 / math.sqrt(config.head_dim)
     q, k, v = (
-        _linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"],
-                ws.get(f"{slot}.{n}", x.shape, x.dtype))
-        for n in "qkv"
+        _linear(rows, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"],
+                ws.get(f"{slot}.{n}", rows.shape, x.dtype))
+        for n, rows in (("q", xq), ("k", x), ("v", x))
     )
-    # Masked softmax in the one (B, H, L, L) buffer the scores come in.
+    # Masked softmax in the one (B, H, lq, L) buffer the scores come in.
     weights = np.matmul(
         _split_heads(q, h), _split_heads(k, h).transpose(0, 1, 3, 2),
-        out=ws.get(f"{slot}.weights", (b, h, l, l), x.dtype),
+        out=ws.get(f"{slot}.weights", (b, h, lq, l), x.dtype),
     )
     weights *= scale
-    weights += bias
+    weights += bias[:, :, :lq]
     _softmax(weights)
     used = weights
     if attn_dropout_mask is not None:
+        attn_dropout_mask = attn_dropout_mask[:, :, :lq]
         used = np.multiply(
             weights, attn_dropout_mask, out=ws.get(f"{slot}.used", weights.shape, x.dtype)
         )
-    # The heads' contexts are written straight into merged (B, L, d) layout.
-    ctx = ws.get(f"{slot}.ctx", x.shape, x.dtype)
+    # The heads' contexts are written straight into merged (B, lq, d) layout.
+    ctx = ws.get(f"{slot}.ctx", xq.shape, x.dtype)
     np.matmul(used, _split_heads(v, h), out=_split_heads(ctx, h))
     attn = _linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
-                   ws.get(f"{slot}.ln1", x.shape, x.dtype))
-    attn += x
+                   ws.get(f"{slot}.ln1", xq.shape, x.dtype))
+    attn += xq
     out, ln_cache = _layer_norm(
         attn, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"],
-        ws.get(f"{slot}.x1", x.shape, x.dtype), ws,
+        ws.get(f"{slot}.x1", xq.shape, x.dtype), ws,
     )
     cache = {
         "x": x, "q": q, "k": k, "v": v, "weights": weights, "used": used,
@@ -439,9 +454,13 @@ def _dropout_mask(rng, rate, ws, name, shape, dtype):
 
 def _encode(batch, params, config, ws, dropout_rng=None, slot=None):
     """Embedding, dropout (at ``config.dropout_rate``, iff ``dropout_rng`` is
-    given), mask bias and the layer stack: the final hidden states (B, L, d)
-    and the caches that the backward pass reads. ``slot`` as in
-    ``_attention_block``."""
+    given), mask bias and the layer stack: the final hidden states and the
+    caches that the backward pass reads. ``slot`` as in ``_attention_block``.
+
+    Only the [CLS] state feeds the classifier, so the last layer computes
+    row 0 alone and the states are (B, 1, d); they are the embedding's
+    (B, L, d) when there are no layers. Each layer still draws a full
+    (B, H, L, L) dropout mask, so the rng stream does not depend on that."""
     rate = config.dropout_rate
     x, emb_ln_cache = _embed_cache(batch, params, config, ws)
     emb_mask = _dropout_mask(dropout_rng, rate, ws, "emb_drop", x.shape, x.dtype)
@@ -455,7 +474,10 @@ def _encode(batch, params, config, ws, dropout_rng=None, slot=None):
         attn_mask = _dropout_mask(
             dropout_rng, rate, ws, f"l{i}.drop", (b, config.n_heads, l, l), x.dtype
         )
-        x, attn_cache = _attention_block(x, bias, params, f"l{i}", config, ws, attn_mask, slot)
+        x, attn_cache = _attention_block(
+            x, bias, params, f"l{i}", config, ws, attn_mask, slot,
+            cls_only=i == config.n_layers - 1,
+        )
         x, ffn_cache = _ffn_block(x, params, f"l{i}", ws, slot)
         layer_caches.append((attn_cache, ffn_cache))
     return x, {"emb_ln": emb_ln_cache, "emb_mask": emb_mask, "layers": layer_caches}
@@ -471,7 +493,8 @@ def forward(
     of buffers in ``ws`` (a fresh ``Workspace`` if None; ``evaluate`` keeps
     one per call): only one chunk's (rows, H, L, L) attention scores and
     mask bias exist at a time, not the batch's or each layer's. Pairs never
-    attend across rows, so this is exact. The chunks' [CLS] states are
+    attend across rows, so this is exact. The last layer computes only the
+    [CLS] rows, each in its own matmul, and the chunks' [CLS] states are
     gathered and classified in one matmul, so the result does not depend on
     the chunk size.
     """
@@ -534,7 +557,7 @@ def loss_and_gradients(
     grads["cls_w"] = h_cls.T @ dlogits
     grads["cls_b"] = dlogits.sum(axis=0)
     dtype = params["cls_w"].dtype
-    dx = ws.get("dx", batch.token_ids.shape + (config.d_model,), dtype)
+    dx = ws.get("dx", x.shape, dtype)
     dx.fill(0.0)
     dx[:, 0, :] = dlogits @ params["cls_w"].T
 
@@ -588,14 +611,16 @@ def loss_and_gradients(
         dq *= scale
         dk *= scale
 
-        x_rows = _rows(x)
-        for n, dn in (("q", dq), ("k", dk), ("v", dv)):
-            grads[f"{prefix}.w{n}"] = x_rows.T @ _rows(dn)
+        lq = q.shape[1]
+        for n, rows, dn in (("q", x[:, :lq], dq), ("k", x, dk), ("v", x, dv)):
+            grads[f"{prefix}.w{n}"] = _rows(rows).T @ _rows(dn)
             grads[f"{prefix}.b{n}"] = dn.sum(axis=(0, 1))
-        # dx = dz + dq·wqᵀ + dk·wkᵀ + dv·wvᵀ, added in that order, into q's buffer.
-        dx = np.matmul(dq, params[f"{prefix}.wq"].T, out=q)
-        dx += dz
-        dx += np.matmul(dk, params[f"{prefix}.wk"].T, out=dq)
+        # dx = dk·wkᵀ + (dq·wqᵀ + dz) + dv·wvᵀ, where dq and dz cover the lq
+        # query rows only; dq·wqᵀ goes into q's buffer, dx into "dx".
+        dqx = np.matmul(dq, params[f"{prefix}.wq"].T, out=q)
+        dqx += dz
+        dx = np.matmul(dk, params[f"{prefix}.wk"].T, out=ws.get("dx", x.shape, dtype))
+        dx[:, :lq] += dqx
         dx += np.matmul(dv, params[f"{prefix}.wv"].T, out=dk)
 
     if cache["emb_mask"] is not None:
@@ -712,7 +737,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
         try:
             config = EncoderConfig.from_dict(header["config"])
             seed = int(header["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
         shapes = param_shapes(config)
         if header.get("params") != [

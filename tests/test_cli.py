@@ -135,7 +135,9 @@ class TestPipeline:
         header = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)[0]
         assert json.loads(header)["seed"] == 77
 
-    @pytest.mark.parametrize("damage", ["trailing-bytes", "missing-param", "unknown-config-key"])
+    @pytest.mark.parametrize(
+        "damage", ["trailing-bytes", "missing-param", "unknown-config-key", "zero-heads"]
+    )
     def test_eval_bad_checkpoint_exit_2(self, synth_dir, tmp_path, capsys, damage):
         out = tmp_path / "out"
         flags = ("--profile", "desk", "--data_dir", str(synth_dir), "--out_dir", str(out), "--epochs", "0")
@@ -147,6 +149,8 @@ class TestPipeline:
             body += b"\x00" * 8
         elif damage == "missing-param":
             header["params"].pop()
+        elif damage == "zero-heads":
+            header["config"]["n_heads"] = 0
         else:
             header["config"]["colour"] = "blue"
         bad = tmp_path / "bad.bin"

@@ -262,12 +262,9 @@ class TestKernels:
         probs = whole_batch_probs(batch, params, config)
         np.testing.assert_array_equal(forward(batch, params, config), probs)
 
-    @pytest.mark.parametrize("mask", ["all_ones_padded", "constrained"])
-    def test_chunked_forward_equals_forward_cache_bitwise(self, mask, monkeypatch):
-        config = small_config()
-        params = init_params(config)
-        rng = np.random.default_rng(23)
-        b, l = 5, 8
+    @staticmethod
+    def visible(mask, rng, b=5, l=8):
+        """A padded all-ones or a random symmetric (constrained) mask."""
         if mask == "all_ones_padded":
             visible = np.ones((b, l, l))
             for row, n in enumerate((8, 5, 3, 8, 6)):
@@ -276,7 +273,47 @@ class TestKernels:
             visible = (rng.random((b, l, l)) < 0.6).astype(float)
             visible = np.maximum(visible, visible.transpose(0, 2, 1))
             visible[:, np.arange(l), np.arange(l)] = 1.0
-        batch = random_batch(config, rng, b=b, l=l, visible=visible)
+        return visible
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("mask", ["all_ones_padded", "constrained"])
+    def test_cls_only_last_layer_equals_full_layer(self, mask, n_layers):
+        config = small_config(n_layers=n_layers)
+        params = init_params(config)
+        rng = np.random.default_rng(25)
+        batch = random_batch(config, rng, b=5, l=8, visible=self.visible(mask, rng))
+        x, _ = enc._encode(batch, params, config, enc.Workspace())
+        assert x.shape == (5, 1, config.d_model)
+
+        # Reference: every layer, the last one too, over all rows.
+        ws = enc.Workspace()
+        full, _ = enc._embed_cache(batch, params, config, ws)
+        bias = enc._mask_bias(batch.visible, ws)
+        for i in range(n_layers):
+            full, _ = enc._attention_block(full, bias, params, f"l{i}", config, ws)
+            full, _ = enc._ffn_block(full, params, f"l{i}", ws)
+        assert full.shape == (5, 8, config.d_model)
+        np.testing.assert_allclose(x[:, 0], full[:, 0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "mask, n_layers",
+        [
+            ("all_ones_padded", 2), ("constrained", 2),
+            ("all_ones_padded", 1), ("constrained", 1),
+            ("all_ones_padded", 3), ("constrained", 3),
+        ],
+        ids=[
+            "all_ones_padded", "constrained",
+            "all_ones_padded-1-layer", "constrained-1-layer",
+            "all_ones_padded-3-layers", "constrained-3-layers",
+        ],
+    )
+    def test_chunked_forward_equals_forward_cache_bitwise(self, mask, n_layers, monkeypatch):
+        config = small_config(n_layers=n_layers)
+        params = init_params(config)
+        rng = np.random.default_rng(23)
+        b, l = 5, 8
+        batch = random_batch(config, rng, b=b, l=l, visible=self.visible(mask, rng, b, l))
         probs = whole_batch_probs(batch, params, config)
 
         # Room for two rows of scores: chunks of 2, 2 and 1 rows.
@@ -398,9 +435,31 @@ class TestGradients:
         visible = np.ones((2, 6, 6))
         visible[0, 1, 4] = visible[0, 4, 1] = 0
         batch = random_batch(config, rng, b=2, l=6, visible=visible)
+        self.check_finite_differences(
+            batch, params, config, ("l0.wq", "l1.w1", "cls_w", "emb_ln_g", "tok_emb"), rng
+        )
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_matches_finite_differences_padded(self, n_layers):
+        config = small_config(n_layers=n_layers)
+        params = init_params(config)
+        rng = np.random.default_rng(13)
+        visible = np.ones((2, 6, 6))
+        visible[1, 4:, :] = visible[1, :, 4:] = 0.0  # row 1 has 4 tokens
+        batch = random_batch(config, rng, b=2, l=6, visible=visible)
+        last = f"l{n_layers - 1}"
+        names = ("l0.wq", "l0.wv", "l0.w1") + tuple(
+            f"{last}.{suffix}" for suffix in ("wq", "bq", "wk", "wv", "bv", "wo", "ln1_g", "w2")
+        ) + ("pos_emb", "tok_emb")
+        self.check_finite_differences(batch, params, config, names, rng)
+
+    @staticmethod
+    def check_finite_differences(batch, params, config, names, rng):
+        """Central differences of the eval loss at 8 random coordinates of
+        each named parameter match the analytic gradient (rel 1e-4)."""
         _, grads = loss_and_gradients(batch, params, config)
         h = 1e-4
-        for name in ("l0.wq", "l1.w1", "cls_w", "emb_ln_g", "tok_emb"):
+        for name in names:
             flat = params[name].reshape(-1)
             gflat = grads[name].reshape(-1)
             for i in rng.choice(flat.size, size=8, replace=False):
@@ -503,6 +562,21 @@ class TestTrainStep:
         assert outs[0][0] == outs[1][0]
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 3])
+    def test_dropout_draws_full_attention_masks(self, n_layers):
+        config = small_config(n_layers=n_layers, dropout_rate=0.1)
+        b, l = 3, 8
+        batch = random_batch(config, np.random.default_rng(18), b=b, l=l)
+        rng = np.random.default_rng(99)
+        loss_and_gradients(batch, init_params(config), config, dropout_rng=rng)
+        # The embedding mask, then each layer's (B, H, L, L) mask, the last
+        # layer's too although it queries [CLS] only.
+        expected = np.random.default_rng(99)
+        expected.random((b, l, config.d_model))
+        for _ in range(n_layers):
+            expected.random((b, config.n_heads, l, l))
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestWorkspace:
@@ -649,10 +723,13 @@ class TestCheckpoint:
             (lambda h: h["config"].update(colour="blue"), b""),
             (lambda h: h["config"].pop("vocab_size"), b""),
             (lambda h: h.pop("seed"), b""),
+            (lambda h: h["config"].update(n_heads=0), b""),
+            (lambda h: h["config"].update(dropout_rate=-1.0), b""),
         ],
         ids=[
             "trailing-bytes", "missing-param", "reordered-params", "wrong-shape",
             "unknown-config-key", "missing-config-key", "missing-seed",
+            "zero-heads", "negative-dropout",
         ],
     )
     def test_malformed_rejected(self, tmp_path, edit_header, tail):
@@ -682,3 +759,15 @@ class TestBatch:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vocab_size", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -2),
+            ("d_ff", 0), ("max_position", 0), ("n_layers", -1),
+            ("dropout_rate", -1.0), ("dropout_rate", 1.0), ("dropout_rate", float("nan")),
+        ],
+    )
+    def test_config_out_of_range_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            small_config(**{field: value})
