@@ -9,6 +9,7 @@ and seed so reruns are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import blas_threads
 from .encoder import (
     AdamState,
     Batch,
@@ -116,7 +118,7 @@ class RunConfig:
         if not 0.0 < self.lr < math.inf:
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if self.threads != 1:
-            raise DomainError("threads accepts only 1; it pins no BLAS threads")
+            raise DomainError("threads accepts only 1: run_train and evaluate run BLAS on one thread")
 
     @property
     def mode(self) -> PromptMode:
@@ -381,6 +383,19 @@ def _load_prepared(config: RunConfig, split: str, vocab_size: int) -> tuple[dict
     return manifest, seqs
 
 
+def _on_config_threads(phase):
+    """Run ``phase(config, ...)`` on ``config.threads`` BLAS threads (see
+    ``knowmatch.blas``)."""
+
+    @functools.wraps(phase)
+    def pinned(config: RunConfig, *args, **kwargs):
+        with blas_threads(config.threads):
+            return phase(config, *args, **kwargs)
+
+    return pinned
+
+
+@_on_config_threads
 def run_train(config: RunConfig) -> dict:
     """Train on the prepared train split; writes checkpoint and loss log."""
     out_dir = Path(config.out_dir)
@@ -447,6 +462,7 @@ def run_train(config: RunConfig) -> dict:
     }
 
 
+@_on_config_threads
 def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None) -> Metrics:
     """Evaluate the trained checkpoint on one prepared split (0.5 threshold)."""
     out_dir = Path(config.out_dir)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from knowmatch import blas, harness
 from knowmatch.encoder import init_params, load_checkpoint
 from knowmatch.errors import (
     DegenerateError,
@@ -531,6 +532,43 @@ class TestTrainEvaluate:
         # Per-example order matches a batch-size-1 evaluation.
         single = evaluate(desk_config(small_dataset, tmp_path / "out", batch_size=1), "test")
         assert single.per_example_correct == metrics.per_example_correct
+
+    @pytest.mark.skipif(blas.get_threads() is None, reason="numpy links no OpenBLAS")
+    def test_train_and_evaluate_run_blas_on_one_thread(self, small_dataset, tmp_path, monkeypatch):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=1)
+        run_prepare(config)
+        seen = []
+        for name in ("train_step", "forward"):
+            real = getattr(harness, name)
+
+            def spy(*args, real=real, **kwargs):
+                seen.append(blas.get_threads())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, spy)
+        before = blas.get_threads()
+        with blas.blas_threads(2):
+            run_train(config)
+            evaluate(config, "test")
+            assert blas.get_threads() == 2
+        assert seen and set(seen) == {1}
+        assert blas.get_threads() == before
+
+    @pytest.mark.skipif(blas.get_threads() is None, reason="numpy links no OpenBLAS")
+    def test_checkpoint_does_not_depend_on_blas_threads(self, small_dataset, tmp_path):
+        # At batch 16 with annotated pairs, OpenBLAS splits the products
+        # across two threads and sums some of them in another order.
+        blobs = []
+        for n in (1, 2):
+            config = desk_config(
+                small_dataset, tmp_path / f"out{n}", epochs=1, batch_size=16,
+                annotations=str(small_dataset / "gold_annotations.jsonl"),
+            )
+            run_prepare(config)
+            with blas.blas_threads(n):
+                run_train(config)
+            blobs.append((tmp_path / f"out{n}" / "checkpoint.bin").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_numerical_abort_keeps_last_good_checkpoint(
         self, small_dataset, tmp_path, monkeypatch
