@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .serializer import (
 )
 from .stats import paired_ttest
 from .tabular import SPLITS, Table, json_object, load_pairs, load_table
-from .text import PAD_ID, Tokenizer
+from .text import PAD_ID, Tokenizer, tokenize, tokenize_once
 
 SEED_ENV_VAR = "KAER_SEED"
 
@@ -212,9 +213,11 @@ def build_annotations(
     gazetteer: str | Path | None,
     annotations: str | Path | None,
     ditto_mode: str,
+    tokenize: Callable[[str], Sequence[str]] = tokenize,
 ) -> AnnotationStore:
     """Collect annotations: rule typer, gazetteer, then an external JSONL file
-    (whose column types override). Ditto filtering applies to mentions last."""
+    (whose column types override). Ditto filtering applies to mentions last.
+    Gazetteer linking splits cells by ``tokenize``."""
     store = AnnotationStore()
     if rule_typer:
         for table in tables:
@@ -223,7 +226,7 @@ def build_annotations(
     if gazetteer:
         gaz = Gazetteer.from_file(gazetteer)
         for table in tables:
-            for mention in link_entities(table, gaz):
+            for mention in link_entities(table, gaz, tokenize):
                 store.add_mention(mention)
     if annotations:
         store.merge(ingest_annotations(annotations))
@@ -244,7 +247,11 @@ def load_tables(data_dir: str | Path) -> tuple[Table, Table]:
 
 
 def run_prepare(config: RunConfig) -> dict:
-    """Serialize every available split into batch files; returns the manifest."""
+    """Serialize every available split into batch files; returns the manifest.
+
+    Within one call, each distinct cell text is tokenized once (for linking,
+    the vocabulary and serialization alike) and each record is serialized
+    once, however many pairs it is in. Both memos die with the call."""
     data_dir = Path(config.data_dir)
     left, right = load_tables(data_dir)
     split_sets = {}
@@ -255,12 +262,14 @@ def run_prepare(config: RunConfig) -> dict:
     if not split_sets:
         raise FileNotFoundError(f"no split files (train/valid/test.csv) in {data_dir}")
 
+    tokens = tokenize_once()
     store = build_annotations(
         (left, right), config.use_rule_typer, config.gazetteer,
-        config.annotations, config.ditto_mode,
+        config.annotations, config.ditto_mode, tokenize=tokens,
     )
     tokenizer = build_vocab(
-        [left, right], min_count=config.min_count, extra_labels=store.type_labels()
+        [left, right], min_count=config.min_count, extra_labels=store.type_labels(),
+        tokenize=tokens,
     )
 
     out_dir = Path(config.out_dir)
@@ -269,6 +278,7 @@ def run_prepare(config: RunConfig) -> dict:
 
     mode = config.mode
     counts = {}
+    entries = {}
     for split, pair_set in split_sets.items():
         lines = []
         for pair in pair_set.pairs:
@@ -282,6 +292,8 @@ def run_prepare(config: RunConfig) -> dict:
                 label=pair.label,
                 left_table=left.name,
                 right_table=right.name,
+                tokenize=tokens,
+                entries=entries,
             )
             if seq.sites:
                 check_length(build_injection_tree(seq), config.max_len)

@@ -8,10 +8,11 @@ interchange format instead (see ``ingest_annotations``).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FormatError, OverlapError
 from .tabular import Table, json_object, read_lines, tsv_pair, write_json_lines
@@ -91,18 +92,34 @@ class Gazetteer:
         return tuple(sorted(set(self._index.values())))
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Gazetteer":
-        return cls(entries={surface.lower(): label for surface, label in pairs})
+    def from_pairs(
+        cls, pairs: Iterable[tuple[str, str]], sources: Iterable[str] | None = None
+    ) -> "Gazetteer":
+        """Build from ``(surface, type)`` pairs. Surfaces match by their
+        tokens, so two surfaces with the same tokens must have the same type;
+        otherwise FormatError names both, with their ``sources`` if given."""
+        seen: dict[tuple[str, ...], tuple[str, str, str]] = {}
+        sources = sources if sources is not None else itertools.repeat("")
+        for (surface, label), source in zip(pairs, sources):
+            key = tuple(tokenize(surface))
+            other, other_label, other_source = seen.setdefault(key, (surface, label, source))
+            if other_label != label:
+                raise FormatError(
+                    f"gazetteer surfaces {other!r}{other_source} and {surface!r}{source} "
+                    f"have the same tokens but types {other_label!r} and {label!r}"
+                )
+        return cls(entries={surface.lower(): label for surface, label, _ in seen.values()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
         """Load a TSV gazetteer: ``surface<TAB>type`` per line, UTF-8."""
-        pairs = []
+        pairs, sources = [], []
         for lineno, (surface, label) in read_lines(path, tsv_pair):
             if not surface.strip():
                 raise FormatError(f"{path}: line {lineno}: empty gazetteer surface")
             pairs.append((surface, label))
-        return cls.from_pairs(pairs)
+            sources.append(f" ({path}: line {lineno})")
+        return cls.from_pairs(pairs, sources)
 
 
 class AnnotationStore:
@@ -220,11 +237,16 @@ def infer_column_types(table: Table) -> list[ColumnTypeAnnotation]:
     return annotations
 
 
-def link_entities(table: Table, gazetteer: Gazetteer) -> list[EntityMention]:
+def link_entities(
+    table: Table,
+    gazetteer: Gazetteer,
+    tokenize: Callable[[str], Sequence[str]] = tokenize,
+) -> list[EntityMention]:
     """Tag gazetteer hits in every cell by greedy longest match.
 
     The scan is left to right over the cell's token sequence; after a match
-    it resumes past the matched span, so mentions never overlap.
+    it resumes past the matched span, so mentions never overlap. Cells are
+    split by ``tokenize``, which may be a memo of ``text.tokenize``.
     """
     mentions = []
     max_len = gazetteer.max_surface_len

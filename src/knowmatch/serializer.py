@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import AnnotationMismatchError, DomainError, SequenceOverflowError
 from .knowledge import (
@@ -93,12 +93,14 @@ def build_vocab(
     corpus: Sequence[Table],
     min_count: int = 1,
     extra_labels: Iterable[str] = (),
+    tokenize: Callable[[str], Sequence[str]] = tokenize,
 ) -> Tokenizer:
     """Build a tokenizer over the corpus tables.
 
     Tokens occurring at least ``min_count`` times are kept, ordered by
     frequency (descending) then lexicographically. Knowledge labels are
-    always included even when absent from the corpus.
+    always included even when absent from the corpus. Column names and
+    cells are split by ``tokenize``, which may be a memo of ``text.tokenize``.
     """
     if not corpus:
         raise DomainError("build_vocab needs a non-empty corpus")
@@ -130,12 +132,14 @@ def serialize_entry(
     mode: PromptMode,
     tokenizer: Tokenizer,
     table: str = "tableA",
+    tokenize: Callable[[str], Sequence[str]] = tokenize,
 ) -> TokenSeq:
     """Serialize one record to ``[COL] name [VAL] value`` tokens per column.
 
     Template modes splice the column type after the column name and each
     mention's type after its span (slash mode adds a "/" token in between).
     Constrained mode leaves the trunk untouched and records injection sites.
+    Texts are split by ``tokenize``, which may be a memo of ``text.tokenize``.
     """
     slash_id = tokenizer.encode_tokens(["/"])[0]
     tokens: list[int] = []
@@ -144,12 +148,12 @@ def serialize_entry(
     for column, value in record.columns:
         tokens.append(COL_ID)
         name_start = len(tokens)
-        tokens.extend(tokenizer.encode_text(column))
+        tokens.extend(tokenizer.encode_text(column, tokenize))
         name_end = len(tokens)
 
         ann = store.column_type(table, column)
         if ann is not None:
-            know = tuple(tokenizer.encode_text(ann.predicted_type))
+            know = tuple(tokenizer.encode_text(ann.predicted_type, tokenize))
             if know:
                 if mode is PromptMode.CONSTRAINED:
                     # A branch needs a head: skip injection on empty names.
@@ -163,7 +167,7 @@ def serialize_entry(
                     tokens.extend(know)
 
         tokens.append(VAL_ID)
-        value_tokens = tokenizer.encode_text(value)
+        value_tokens = tokenizer.encode_text(value, tokenize)
         mentions = store.mentions_for(table, record.entry_id, column)
         for m in mentions:
             if m.end > len(value_tokens):
@@ -175,7 +179,7 @@ def serialize_entry(
         if mode is PromptMode.CONSTRAINED:
             tokens.extend(value_tokens)
             for m in mentions:
-                know = tuple(tokenizer.encode_text(m.entity_type))
+                know = tuple(tokenizer.encode_text(m.entity_type, tokenize))
                 if know:
                     sites.append(
                         InjectionSite((base + m.start, base + m.end), know, "entity")
@@ -185,7 +189,7 @@ def serialize_entry(
             for m in mentions:
                 tokens.extend(value_tokens[cursor : m.end])
                 cursor = m.end
-                know = tokenizer.encode_text(m.entity_type)
+                know = tokenizer.encode_text(m.entity_type, tokenize)
                 if know:
                     if mode is PromptMode.SLASH:
                         tokens.append(slash_id)
@@ -220,17 +224,29 @@ def serialize_pair(
     label: int | None = None,
     left_table: str = "tableA",
     right_table: str = "tableB",
+    tokenize: Callable[[str], Sequence[str]] = tokenize,
+    entries: dict[tuple[str, str], TokenSeq] | None = None,
 ) -> InputSequence:
     """Serialize a record pair to ``[CLS] left [SEP] right [SEP]``.
 
     Over-length sequences are shrunk by dropping value tokens from the tail
     of the longer side until the budget fits; markers, column names, and
     specials are never dropped. Ties shrink the left side.
+
+    ``entries`` keeps each side's ``serialize_entry`` result by
+    ``(table, entry_id)``, so a dict passed to many calls serializes each
+    record once. It must serve one store, mode, tokenizer and table pair.
     """
     if max_len < 8:
         raise DomainError(f"max_len must be >= 8, got {max_len}")
-    left = serialize_entry(e1, store, mode, tokenizer, table=left_table)
-    right = serialize_entry(e2, store, mode, tokenizer, table=right_table)
+    entries = {} if entries is None else entries
+    for record, table in ((e1, left_table), (e2, right_table)):
+        if (table, record.entry_id) not in entries:
+            entries[table, record.entry_id] = serialize_entry(
+                record, store, mode, tokenizer, table=table, tokenize=tokenize
+            )
+    left = entries[left_table, e1.entry_id]
+    right = entries[right_table, e2.entry_id]
 
     tokens, segments, sites = _join_truncated(left, right, max_len)
     return InputSequence(

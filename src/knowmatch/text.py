@@ -8,10 +8,12 @@ as the template joiner, so it must always be its own token).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .errors import FormatError
 from .tabular import read_lines, tsv_pair
@@ -52,6 +54,13 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def tokenize_once() -> Callable[[str], tuple[str, ...]]:
+    """A ``tokenize`` that works each distinct text out once and then hands
+    back the same tuple. It keeps every text it is given, so make one per
+    job (``run_prepare`` makes one per call) and let it go with the job."""
+    return functools.cache(lambda text: tuple(tokenize(text)))
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """Maps token text to dense integer ids; ids 0..5 are reserved specials."""
@@ -74,11 +83,13 @@ class Tokenizer:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def encode_tokens(self, tokens: list[str]) -> list[int]:
+    def encode_tokens(self, tokens: Sequence[str]) -> list[int]:
         """Map token texts to ids; unknown tokens map to [UNK]."""
         return [self.vocab.get(tok, UNK_ID) for tok in tokens]
 
-    def encode_text(self, text: str) -> list[int]:
+    def encode_text(
+        self, text: str, tokenize: Callable[[str], Sequence[str]] = tokenize
+    ) -> list[int]:
         return self.encode_tokens(tokenize(text))
 
     def decode(self, ids: list[int]) -> list[str]:

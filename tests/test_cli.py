@@ -91,6 +91,16 @@ class TestPipeline:
         assert code == 2
         assert "data error" in err and "tableA.csv: line" in err and "UTF-8" in err
 
+    def test_conflicting_gazetteer_exit_2(self, synth_dir, tmp_path, capsys):
+        gaz = tmp_path / "gaz.tsv"
+        gaz.write_text("alpha\tperson\nAlpha\torg\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "prepare", "--data_dir", str(synth_dir),
+            "--out_dir", str(tmp_path / "out"), "--gazetteer", str(gaz),
+        )
+        assert code == 2
+        assert "'alpha'" in err and "'Alpha'" in err and "gaz.tsv: line 2" in err
+
     def test_mode_flag_equals_config_file(self, synth_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

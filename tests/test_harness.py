@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,13 @@ from knowmatch.harness import (
     run_train,
 )
 from knowmatch.injection import assemble
-from knowmatch.serializer import PromptMode, read_batch_file, serialize_pair
+from knowmatch.serializer import (
+    PromptMode,
+    build_vocab,
+    pair_to_json,
+    read_batch_file,
+    serialize_pair,
+)
 from knowmatch.synth import SyntheticSpec, generate_synthetic, write_synthetic
 from knowmatch.tabular import load_pairs, load_table
 from knowmatch.text import Tokenizer, tokenize
@@ -47,6 +55,60 @@ def desk_config(data_dir, out_dir, **kwargs):
     values.update(epochs=2, batch_size=8)
     values.update(kwargs)
     return RunConfig(data_dir=str(data_dir), out_dir=str(out_dir), **values)
+
+
+# Surfaces of the small dataset's cells, for the rule-typer-and-gazetteer
+# config.
+GAZETTEER = "little bridge\tLOC\ndelta\tLOC\nember\tPRODUCT\ntender forest\tORG\nswift\tPERSON\n"
+# Per mode, a max_len that cuts pairs of that config: 4 of 32 in space mode,
+# all 32 in slash mode. A cut constrained trunk fills max_len and keeps its
+# column-type branches, so it always overflows; constrained gets the least
+# max_len its pairs fit in.
+TRUNCATING_MAX_LEN = {"space": 30, "slash": 30, "constrained": 33}
+
+
+def gazetteer_config(data_dir, tmp_path, mode):
+    """Rule typer, ``GAZETTEER`` and the mode's ``TRUNCATING_MAX_LEN``."""
+    gaz = tmp_path / "gaz.tsv"
+    gaz.write_text(GAZETTEER, encoding="utf-8")
+    return desk_config(
+        data_dir, tmp_path / "out", prompt_mode=mode, use_rule_typer=True,
+        gazetteer=str(gaz), max_len=TRUNCATING_MAX_LEN[mode],
+    )
+
+
+def unmemoized_prepare(config):
+    """The vocabulary and each split's batch lines that ``run_prepare``
+    should write, from the public calls made pair by pair with no memo."""
+    data_dir = Path(config.data_dir)
+    left = load_table(data_dir / "tableA.csv")
+    right = load_table(data_dir / "tableB.csv")
+    store = build_annotations(
+        (left, right), config.use_rule_typer, config.gazetteer,
+        config.annotations, config.ditto_mode,
+    )
+    tokenizer = build_vocab(
+        [left, right], min_count=config.min_count, extra_labels=store.type_labels()
+    )
+    lines = {}
+    for split in ("train", "valid", "test"):
+        pairs = load_pairs(data_dir / f"{split}.csv", left, right, split=split).pairs
+        lines[split] = [
+            pair_to_json(serialize_pair(
+                left.row(pair.left_id), right.row(pair.right_id), store, config.mode,
+                tokenizer, config.max_len, label=pair.label,
+                left_table=left.name, right_table=right.name,
+            ))
+            for pair in pairs
+        ]
+    return tokenizer, lines
+
+
+def prepared_lines(out_dir):
+    return {
+        split: read_batch_file(Path(out_dir) / "batches" / f"{split}.jsonl")
+        for split in ("train", "valid", "test")
+    }
 
 
 class TestMetrics:
@@ -286,6 +348,109 @@ class TestPrepare:
         assert {
             p.name: sha(p) for p in (out / "batches").glob("*.jsonl")
         } == self.GOLDEN_BATCHES[mode]
+
+    # The same for the rule typer, a gazetteer and truncation, the inputs
+    # that the per-call tokenization and serialization memos see most of.
+    # Computed before those memos were added.
+    GOLDEN_GAZETTEER_VOCAB = "a4a8de529bc0e58aa5c5ee706c7d9a44e597b708b88890e1bcf9ca394279447c"
+    GOLDEN_GAZETTEER_BATCHES = {
+        "space": {
+            "test.jsonl": "9dcde1454a1d634f6213cc16b63250bf7585a486cb9e53c33fc071c7c7d58f0b",
+            "train.jsonl": "9e86e28a16b1b5acb35a3874f82801b0ad7156638f0a924e125789f29920a1d5",
+            "valid.jsonl": "bb3bcf757930029085fc72e17d9a2679569b4c0ada13ec271ed3d7a0205dcb14",
+        },
+        "slash": {
+            "test.jsonl": "cce97c6a128e21391ffaf3cdb5bc6e6c858b58d16a55523bd99288718251f777",
+            "train.jsonl": "d5a75581a58788a3338d321f5baac39e05423d61891d6a367f1460a134fcb92e",
+            "valid.jsonl": "2f2bd74e46ff70621cfe8a5d7a64c48d7b5cfd941e88868cd8b18c6cad17c794",
+        },
+        "constrained": {
+            "test.jsonl": "fd23a008f68a35d1735d9af74a91ccfc03293264a04e71810601326c6827f503",
+            "train.jsonl": "fa3866ce7542cea7dea7ac1f51ade374565086ac448f8434c14c9e6d464c09d7",
+            "valid.jsonl": "c51ca5970ee04e716fe1ef45d4f0bccdfd935cdc26e97cc2978ebc893803ba4f",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["space", "slash", "constrained"])
+    def test_golden_bytes_rule_typer_gazetteer_truncation(self, small_dataset, tmp_path, mode):
+        config = gazetteer_config(small_dataset, tmp_path, mode)
+        run_prepare(config)
+        out = Path(config.out_dir)
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert sha(out / "vocab.tsv") == self.GOLDEN_GAZETTEER_VOCAB
+        assert {
+            p.name: sha(p) for p in (out / "batches").glob("*.jsonl")
+        } == self.GOLDEN_GAZETTEER_BATCHES[mode]
+
+    @pytest.mark.parametrize("mode", ["space", "slash", "constrained"])
+    @pytest.mark.parametrize("source", ["gold", "rule_typer_gazetteer"])
+    def test_batch_lines_equal_unmemoized_serialization(
+        self, small_dataset, tmp_path, mode, source
+    ):
+        if source == "gold":
+            config = desk_config(
+                small_dataset, tmp_path / "out", prompt_mode=mode,
+                annotations=str(small_dataset / "gold_annotations.jsonl"),
+            )
+        else:
+            config = gazetteer_config(small_dataset, tmp_path, mode)
+        run_prepare(config)
+        tokenizer, lines = unmemoized_prepare(config)
+        assert Tokenizer.load(tmp_path / "out" / "vocab.tsv").vocab == tokenizer.vocab
+        assert prepared_lines(config.out_dir) == lines
+
+    def test_prepare_tokenizes_each_text_and_serializes_each_record_once(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        import knowmatch.serializer as serializer_module
+        import knowmatch.text as text_module
+
+        texts, records = Counter(), Counter()
+        real_tokenize, real_entry = text_module.tokenize, serializer_module.serialize_entry
+
+        def counting_tokenize(text):
+            texts[text] += 1
+            return real_tokenize(text)
+
+        def counting_entry(record, *args, table, **kwargs):
+            records[(table, record.entry_id)] += 1
+            return real_entry(record, *args, table=table, **kwargs)
+
+        monkeypatch.setattr(text_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(serializer_module, "serialize_entry", counting_entry)
+        run_prepare(gazetteer_config(small_dataset, tmp_path, "constrained"))
+
+        left = load_table(small_dataset / "tableA.csv")
+        right = load_table(small_dataset / "tableB.csv")
+        cells = {value for t in (left, right) for rec in t.rows for _, value in rec.columns}
+        assert cells <= set(texts)
+        assert max(texts.values()) == 1
+        used = set()
+        for split in ("train", "valid", "test"):
+            for pair in load_pairs(small_dataset / f"{split}.csv", left, right).pairs:
+                used.update({(left.name, pair.left_id), (right.name, pair.right_id)})
+        assert set(records) == used
+        assert max(records.values()) == 1
+
+    def test_no_memo_outlives_a_prepare_call(self, small_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data)
+        config = gazetteer_config(data, tmp_path, "slash")
+        run_prepare(config)
+        first = prepared_lines(config.out_dir)
+
+        table = data / "tableA.csv"
+        text = table.read_text(encoding="utf-8")
+        edited = text.replace("\n0,little bridge,", "\n0,quiet zephyr,")
+        assert edited != text
+        table.write_text(edited, encoding="utf-8")
+        run_prepare(config)
+        tokenizer, lines = unmemoized_prepare(config)
+        assert Tokenizer.load(tmp_path / "out" / "vocab.tsv").vocab == tokenizer.vocab
+        assert prepared_lines(config.out_dir) == lines != first
 
     def test_missing_table_raises(self, tmp_path):
         config = desk_config(tmp_path / "nowhere", tmp_path / "out")

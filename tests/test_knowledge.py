@@ -277,3 +277,25 @@ class TestGazetteer:
     def test_empty_surface_rejected(self):
         with pytest.raises(FormatError):
             Gazetteer(entries={"  ": "X"})
+
+    @pytest.mark.parametrize("other", ["Alpha", "alpha", "ALPHA  ", "alpha\u00a0"])
+    def test_surfaces_with_same_tokens_and_other_types_rejected(self, other):
+        with pytest.raises(FormatError) as err:
+            Gazetteer.from_pairs([("alpha", "person"), (other, "org")])
+        assert "'alpha'" in str(err.value) and repr(other) in str(err.value)
+        assert "'person'" in str(err.value) and "'org'" in str(err.value)
+
+    def test_conflict_in_file_names_both_lines(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("alpha\tperson\nparis\tGPE\nAlpha\torg\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            Gazetteer.from_file(path)
+        message = str(err.value)
+        assert "'alpha' (" in message and "gaz.tsv: line 1)" in message
+        assert "'Alpha' (" in message and "gaz.tsv: line 3)" in message
+
+    def test_duplicate_with_same_type_accepted(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("alpha\tperson\nAlpha\tperson\nalpha\tperson\n", encoding="utf-8")
+        gaz = Gazetteer.from_file(path)
+        assert len(gaz) == 1 and gaz.lookup(("alpha",)) == "person"
