@@ -25,10 +25,21 @@ MASK_VALUE = -1e9
 LN_EPS = 1e-5
 CHECKPOINT_VERSION = 1
 # Evaluation runs the layer stack on row chunks of the batch whose
-# (rows, H, L, L) attention scores fit in this many bytes: 1 row at L=512
-# with 4 heads in float64, the whole batch at short lengths. A chunk's
+# (rows, H, L, L) attention scores would fit in this many bytes: 1 row at
+# L=512 with 4 heads in float64, the whole batch at short lengths. A chunk's
 # buffers are kept for the whole ``evaluate`` call, so they are sized small.
+# The chunk size depends on L alone; the padding that ``forward`` then drops
+# only makes a chunk's buffers smaller.
 ATTN_CHUNK_BYTES = 8 * 2**20
+# ``forward`` runs a chunk's hidden layers on its real query rows, rounded up
+# to a multiple of this. OpenBLAS computes rows past its last whole tile in
+# remainder kernels whose sums can differ in the last bit, so the exact count
+# (73, say) breaks bit-identity with the training walk, which runs all L rows.
+# Multiples of 16 keep float64 identical under the Sandybridge, Haswell and
+# SkylakeX kernels, but float32 under Haswell (and Zen) tiles rows by 12;
+# 48 covers both. This holds on one BLAS thread, as ``evaluate`` runs: on
+# more, OpenBLAS splits the rows between threads by their count.
+QUERY_ROW_MULTIPLE = 48
 
 
 @dataclass(frozen=True)
@@ -119,12 +130,20 @@ def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Padded model input. [PAD] rows and columns of ``visible`` are zero."""
+    """Padded model input. [PAD] rows and columns of ``visible`` are False.
+
+    ``visible`` is bool, one byte a cell: 4.2 MB at (16, 512), where the
+    model's float64 would take 33.5 MB. ``_mask_bias`` turns it into the
+    hidden-state dtype one row chunk at a time. Masks of 0/1 floats work as
+    well and give bit-identical results. Its rows are the query rows and its
+    columns the keys; ``forward`` hands ``_encode`` chunks with the trailing
+    padding rows dropped, so there it is (rows, n, L).
+    """
 
     token_ids: np.ndarray      # (B, L) int64
     soft_positions: np.ndarray  # (B, L) int64
     segments: np.ndarray       # (B, L) int64
-    visible: np.ndarray        # (B, L, L) model dtype, binary
+    visible: np.ndarray        # (B, L, L) bool
     labels: np.ndarray | None  # (B,) int64
 
     @classmethod
@@ -132,16 +151,20 @@ class Batch:
         cls,
         seqs: Sequence[tuple],
         pad_id: int,
-        dtype=np.float64,
+        dtype=None,
     ) -> "Batch":
         """Pad (tokens, soft_positions, segments, visible-or-None, label)
-        tuples into one batch. ``visible=None`` means fully visible."""
+        tuples into one batch. ``visible=None`` means fully visible.
+
+        ``dtype`` is ignored: the mask is bool whatever the model dtype. The
+        keyword stays because callers written when the mask took the model
+        dtype still pass it."""
         b = len(seqs)
         max_len = max(len(s[0]) for s in seqs)
         ids = np.full((b, max_len), pad_id, dtype=np.int64)
         soft = np.zeros((b, max_len), dtype=np.int64)
         seg = np.zeros((b, max_len), dtype=np.int64)
-        vis = np.zeros((b, max_len, max_len), dtype=dtype)
+        vis = np.zeros((b, max_len, max_len), dtype=bool)
         labels = np.zeros(b, dtype=np.int64)
         has_labels = True
         for i, (tokens, soft_pos, segments, visible, label) in enumerate(seqs):
@@ -149,10 +172,7 @@ class Batch:
             ids[i, :n] = tokens
             soft[i, :n] = soft_pos if soft_pos is not None else np.arange(n)
             seg[i, :n] = segments
-            if visible is None:
-                vis[i, :n, :n] = 1.0
-            else:
-                vis[i, :n, :n] = np.asarray(visible, dtype=dtype)
+            vis[i, :n, :n] = True if visible is None else visible
             if label is None:
                 has_labels = False
             else:
@@ -323,9 +343,10 @@ def _embed_cache(batch, params, config, ws):
     )
 
 
-def _mask_bias(visible, ws):
-    """Additive attention bias (B, 1, L, L): 0 where visible, MASK_VALUE where not."""
-    bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, visible.dtype))
+def _mask_bias(visible, dtype, ws):
+    """Additive attention bias (B, 1, Lq, L) in ``dtype``: 0 where visible,
+    MASK_VALUE where not."""
+    bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, dtype))
     bias *= MASK_VALUE
     return bias[:, None]
 
@@ -342,18 +363,25 @@ def _attention_block(
     the output is (B, 1, d). The arrays go into ``ws`` under ``slot``, which
     defaults to the layer's ``prefix``: training keeps each layer's arrays
     for the backward pass.
+
+    ``bias`` may have more key columns L than ``x`` has rows n, as in
+    ``forward``'s trimmed chunks. K and V are then (B, L, d) with zero rows
+    past n, so every score row still spans all L keys in the same order;
+    the bias gives those keys exactly zero weight.
     """
     slot = slot or prefix
     h = config.n_heads
-    b, l, _ = x.shape
-    lq = 1 if cls_only else l
+    b, n, d = x.shape
+    l = bias.shape[-1]
+    lq = 1 if cls_only else n
     xq = x[:, :lq]
     scale = 1.0 / math.sqrt(config.head_dim)
-    q, k, v = (
-        _linear(rows, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"],
-                ws.get(f"{slot}.{n}", rows.shape, x.dtype))
-        for n, rows in (("q", xq), ("k", x), ("v", x))
-    )
+    q = _linear(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"],
+                ws.get(f"{slot}.q", xq.shape, x.dtype))
+    k, v = (ws.get(f"{slot}.{name}", (b, l, d), x.dtype) for name in "kv")
+    for name, out in (("k", k), ("v", v)):
+        _linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"], out[:, :n])
+        out[:, n:] = 0.0
     # Masked softmax in the one (B, H, lq, L) buffer the scores come in.
     weights = np.matmul(
         _split_heads(q, h), _split_heads(k, h).transpose(0, 1, 3, 2),
@@ -388,7 +416,8 @@ def _attention_block(
 def _one_attention(hidden, visible, params, config, layer):
     """(output, cache) of one layer's attention block, in a fresh workspace."""
     ws = Workspace()
-    return _attention_block(hidden, _mask_bias(visible, ws), params, f"l{layer}", config, ws)
+    bias = _mask_bias(visible, hidden.dtype, ws)
+    return _attention_block(hidden, bias, params, f"l{layer}", config, ws)
 
 
 def masked_attention(
@@ -467,7 +496,7 @@ def _encode(batch, params, config, ws, dropout_rng=None, slot=None):
     if emb_mask is not None:
         x *= emb_mask
 
-    bias = _mask_bias(batch.visible, ws)
+    bias = _mask_bias(batch.visible, x.dtype, ws)
     b, l = batch.token_ids.shape
     layer_caches = []
     for i in range(config.n_layers):
@@ -491,12 +520,21 @@ def forward(
     Runs ``_encode`` on row chunks of the batch sized by
     ``ATTN_CHUNK_BYTES``, and every layer of every chunk writes into one set
     of buffers in ``ws`` (a fresh ``Workspace`` if None; ``evaluate`` keeps
-    one per call): only one chunk's (rows, H, L, L) attention scores and
-    mask bias exist at a time, not the batch's or each layer's. Pairs never
-    attend across rows, so this is exact. The last layer computes only the
-    [CLS] rows, each in its own matmul, and the chunks' [CLS] states are
-    gathered and classified in one matmul, so the result does not depend on
-    the chunk size.
+    one per call): only one chunk's attention scores and mask bias exist at
+    a time, not the batch's or each layer's. Pairs never attend across rows,
+    so this is exact.
+
+    A chunk's hidden layers run on its first n rows only, where n counts up
+    to its last token that sees or is seen by any token, rounded up to a
+    multiple of ``QUERY_ROW_MULTIPLE`` and capped at L: the embedding,
+    projections, (rows, H, n, L) scores, softmax, context, LN1, FFN and LN2
+    skip the padding after it. K and V keep all L rows, zero past n (see
+    ``_attention_block``), and the padding keys have weight exactly 0 in
+    both walks, so the real rows are bit-identical. The last layer computes
+    only the [CLS] rows, each in its own matmul, and the chunks' [CLS]
+    states are gathered and classified in one matmul, so the result does not
+    depend on the chunk size and, on one BLAS thread, equals the training
+    walk's bit for bit.
     """
     ws = ws or Workspace()
     b, l = batch.token_ids.shape
@@ -505,9 +543,13 @@ def forward(
     h_cls = np.empty((b, config.d_model), dtype=config.np_dtype)
     for start in range(0, b, rows):
         part = slice(start, start + rows)
+        visible = batch.visible[part]
+        used = np.flatnonzero(visible.any(axis=(0, 1)) | visible.any(axis=(0, 2)))
+        n = int(used[-1]) + 1 if used.size else 1
+        n = min(l, -(-n // QUERY_ROW_MULTIPLE) * QUERY_ROW_MULTIPLE)
         chunk = Batch(
-            batch.token_ids[part], batch.soft_positions[part],
-            batch.segments[part], batch.visible[part], None,
+            batch.token_ids[part, :n], batch.soft_positions[part, :n],
+            batch.segments[part, :n], visible[:, :n], None,
         )
         # One slot for all layers: each block reads the other block's output.
         x, _ = _encode(chunk, params, config, ws, slot="layer")

@@ -358,11 +358,11 @@ def _line_to_sequence(line: dict) -> tuple:
     return seq
 
 
-def _batches_of(seqs, order, batch_size, dtype):
+def _batches_of(seqs, order, batch_size):
     """Batches of decoded ``_line_to_sequence`` tuples, in ``order``."""
     for start in range(0, len(order), batch_size):
         chunk = [seqs[i] for i in order[start : start + batch_size]]
-        yield Batch.from_sequences(chunk, pad_id=PAD_ID, dtype=dtype)
+        yield Batch.from_sequences(chunk, pad_id=PAD_ID)
 
 
 def _load_prepared(config: RunConfig, split: str, vocab_size: int) -> tuple[dict, list[tuple]]:
@@ -429,7 +429,6 @@ def run_train(config: RunConfig) -> dict:
     params = init_params(enc_config)
     state = AdamState.init(params)
     rng = np.random.default_rng(config.seed)
-    dtype = enc_config.np_dtype
     # One workspace for the run: its buffers grow to the largest batch, and
     # every later step reuses them instead of allocating large arrays.
     ws = Workspace()
@@ -441,7 +440,7 @@ def run_train(config: RunConfig) -> dict:
     with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(config.epochs):
             order = rng.permutation(len(seqs)).tolist()
-            for batch in _batches_of(seqs, order, config.batch_size, dtype):
+            for batch in _batches_of(seqs, order, config.batch_size):
                 try:
                     params, state, loss_value = train_step(
                         batch, params, state, config.lr, enc_config,
@@ -488,7 +487,7 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
     predictions, labels = [], []
     order = list(range(len(seqs)))
     ws = Workspace()
-    for batch in _batches_of(seqs, order, config.batch_size, enc_config.np_dtype):
+    for batch in _batches_of(seqs, order, config.batch_size):
         probs = forward(batch, params, enc_config, ws)
         predictions.extend(np.argmax(probs, axis=1).tolist())
         labels.extend(batch.labels.tolist())

@@ -65,17 +65,21 @@ class Gazetteer:
 
     entries: dict[str, str]
     _index: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
-    _max_len: int = field(init=False, repr=False, compare=False)
+    _widths: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, ...], str] = {}
+        widths: dict[str, set[int]] = {}
         for surface, label in self.entries.items():
             toks = tuple(tokenize(surface))
             if not toks:
                 raise FormatError(f"empty gazetteer surface {surface!r}")
             index[toks] = label
+            widths.setdefault(toks[0], set()).add(len(toks))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_max_len", max((len(t) for t in index), default=0))
+        object.__setattr__(
+            self, "_widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()}
+        )
 
     def __len__(self) -> int:
         return len(self._index)
@@ -83,9 +87,10 @@ class Gazetteer:
     def lookup(self, tokens: tuple[str, ...]) -> str | None:
         return self._index.get(tokens)
 
-    @property
-    def max_surface_len(self) -> int:
-        return self._max_len
+    def widths(self, first: str) -> tuple[int, ...]:
+        """Token counts of the surfaces that start with token ``first``,
+        longest first; empty when none does."""
+        return self._widths.get(first, ())
 
     @property
     def type_labels(self) -> tuple[str, ...]:
@@ -245,13 +250,12 @@ def link_entities(
     """Tag gazetteer hits in every cell by greedy longest match.
 
     The scan is left to right over the cell's token sequence; after a match
-    it resumes past the matched span, so mentions never overlap. Cells are
-    split by ``tokenize``, which may be a memo of ``text.tokenize``.
+    it resumes past the matched span, so mentions never overlap. At each
+    token it tries only the widths of the surfaces that start with that
+    token, longest first. Cells are split by ``tokenize``, which may be a
+    memo of ``text.tokenize``.
     """
     mentions = []
-    max_len = gazetteer.max_surface_len
-    if max_len == 0:
-        return mentions
     for rec in table.rows:
         for column, value in rec.columns:
             tokens = tokenize(value)
@@ -259,7 +263,9 @@ def link_entities(
             while i < n:
                 match_end = 0
                 match_label = None
-                for width in range(min(max_len, n - i), 0, -1):
+                for width in gazetteer.widths(tokens[i]):
+                    if width > n - i:
+                        continue
                     label = gazetteer.lookup(tuple(tokens[i : i + width]))
                     if label is not None:
                         match_end, match_label = i + width, label

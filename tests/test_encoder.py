@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import knowmatch.encoder as enc
+from knowmatch.blas import blas_threads
 from knowmatch.encoder import (
     AdamState,
     Batch,
@@ -288,7 +289,7 @@ class TestKernels:
         # Reference: every layer, the last one too, over all rows.
         ws = enc.Workspace()
         full, _ = enc._embed_cache(batch, params, config, ws)
-        bias = enc._mask_bias(batch.visible, ws)
+        bias = enc._mask_bias(batch.visible, full.dtype, ws)
         for i in range(n_layers):
             full, _ = enc._attention_block(full, bias, params, f"l{i}", config, ws)
             full, _ = enc._ffn_block(full, params, f"l{i}", ws)
@@ -328,6 +329,64 @@ class TestKernels:
         monkeypatch.setattr(enc, "_embed_cache", spy_embed)
         np.testing.assert_array_equal(forward(batch, params, config), probs)
         assert chunk_rows == [2, 2, 1]
+
+    @staticmethod
+    def long_batch(config, rng, mask, lengths=(1, 73, 200, 300, 512)):
+        """An L=512 ``from_sequences`` batch with these real lengths: odd
+        ones, both sides of 128 and one past 384. Template rows are fully
+        visible; constrained rows get a random symmetric mask."""
+        seqs = []
+        for n in lengths:
+            tokens = rng.integers(6, config.vocab_size, size=n)
+            tokens[0] = 0
+            visible = None
+            if mask == "constrained":
+                visible = rng.random((n, n)) < 0.6
+                visible |= visible.T
+                visible[np.arange(n), np.arange(n)] = True
+            seqs.append((tokens, None, rng.integers(0, 2, size=n), visible, 1))
+        return Batch.from_sequences(seqs, pad_id=5)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mask", ["template", "constrained"])
+    def test_trimmed_forward_equals_training_walk_bitwise(
+        self, mask, dtype, chunk_rows, monkeypatch
+    ):
+        # On one BLAS thread, as ``evaluate`` runs: OpenBLAS splits a
+        # product's rows between threads by their count, so on more threads
+        # n rows and L rows can be summed in different tiles.
+        config = small_config(
+            d_model=64, n_heads=4, d_ff=128, max_position=512, dtype=dtype
+        )
+        params = init_params(config)
+        batch = self.long_batch(config, np.random.default_rng(26), mask)
+        with blas_threads(1):
+            probs = whole_batch_probs(batch, params, config)
+
+        itemsize = np.dtype(config.np_dtype).itemsize
+        monkeypatch.setattr(
+            enc, "ATTN_CHUNK_BYTES", chunk_rows * config.n_heads * 512 * 512 * itemsize
+        )
+        scores = []
+        real_block = enc._attention_block
+
+        def spy_block(x, bias, params, prefix, *args, **kwargs):
+            out, cache = real_block(x, bias, params, prefix, *args, **kwargs)
+            scores.append((prefix, cache["weights"].shape))
+            return out, cache
+
+        monkeypatch.setattr(enc, "_attention_block", spy_block)
+        with blas_threads(1):
+            np.testing.assert_array_equal(forward(batch, params, config), probs)
+        # Each chunk's longest real row, rounded up to a multiple of 48.
+        n = {1: [48, 96, 240, 336, 512], 2: [96, 336, 512]}[chunk_rows]
+        sizes = [min(chunk_rows, 5 - start) for start in range(0, 5, chunk_rows)]
+        assert scores == [
+            entry
+            for rows, trimmed in zip(sizes, n)
+            for entry in (("l0", (rows, 4, trimmed, 512)), ("l1", (rows, 4, 1, 512)))
+        ]
 
     def test_forward_peak_memory_bounded_per_chunk(self):
         # The long-cell scoring shape: a whole-batch forward peaks at about
@@ -755,6 +814,60 @@ class TestBatch:
         assert batch.visible[1, :, 2].sum() == 0
         assert batch.visible[0].sum() == 9
         np.testing.assert_array_equal(batch.labels, [1, 0])
+
+    def test_mask_is_bool_whatever_the_dtype(self):
+        visible = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=np.uint8)
+        batch = Batch.from_sequences(
+            [([0, 7, 8], None, [0, 0, 0], visible, 1), ([0, 9], None, [0, 1], None, 0)],
+            pad_id=5, dtype=np.float32,
+        )
+        assert batch.visible.dtype == bool
+        assert batch.visible.nbytes == 2 * 3 * 3
+        np.testing.assert_array_equal(batch.visible[0], visible == 1)
+        assert batch.visible[1].sum() == 4
+
+    def test_long_cells_batch_memory(self):
+        # A (16, 512, 512) float64 mask alone took 33.5 MB; the bool one is 4.2 MB.
+        seqs = [(list(range(512)), None, [0] * 512, None, 1) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            Batch.from_sequences(seqs, pad_id=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6, peak / 1e6
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bool_and_float_masks_give_the_same_bits(self, dtype):
+        config = small_config(dtype=dtype, dropout_rate=0.1)
+        rng = np.random.default_rng(27)
+        b, l = 4, 12
+        visible = rng.random((b, l, l)) < 0.6
+        visible |= visible.transpose(0, 2, 1)
+        visible[:, np.arange(l), np.arange(l)] = True
+        visible[1, 9:, :] = visible[1, :, 9:] = False  # padding
+        visible[3, 5:, :] = visible[3, :, 5:] = False
+        base = random_batch(config, rng, b=b, l=l)
+        hidden = rng.normal(size=(b, l, config.d_model)).astype(config.np_dtype)
+        results = []
+        for mask in (visible, visible.astype(config.np_dtype)):
+            batch = Batch(base.token_ids, base.soft_positions, base.segments, mask, base.labels)
+            params = init_params(config)
+            probs = forward(batch, params, config)
+            value, grads = loss_and_gradients(batch, params, config)
+            attended = masked_attention(hidden, mask, params, config)
+            _, _, step_loss = train_step(
+                batch, params, AdamState.init(params), 1e-3, config, dropout_seed=3
+            )
+            results.append((probs, value, grads, attended, step_loss, params))
+        (probs, value, grads, attended, step_loss, params), other = results
+        np.testing.assert_array_equal(probs, other[0])
+        assert value == other[1] and step_loss == other[4]
+        for name in params:
+            assert grads[name].tobytes() == other[2][name].tobytes(), name
+            assert params[name].tobytes() == other[5][name].tobytes(), name
+        assert attended.dtype == config.np_dtype
+        assert attended.tobytes() == other[3].tobytes()
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

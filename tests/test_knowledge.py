@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowmatch.errors import DomainError, FormatError, OverlapError
 from knowmatch.knowledge import (
@@ -125,6 +127,66 @@ class TestLinkEntities:
                 assert m.start >= last_end
                 assert m.surface == " ".join(tokens[m.start : m.end])
                 last_end = m.end
+
+    @staticmethod
+    def width_scan(table, gazetteer):
+        """Reference linker: every width from the longest surface's down to
+        1, at every token."""
+        mentions = []
+        max_len = max((len(tokenize(s)) for s in gazetteer.entries), default=0)
+        if max_len == 0:
+            return mentions
+        for rec in table.rows:
+            for column, value in rec.columns:
+                tokens = tokenize(value)
+                i, n = 0, len(tokens)
+                while i < n:
+                    match_end = 0
+                    match_label = None
+                    for width in range(min(max_len, n - i), 0, -1):
+                        label = gazetteer.lookup(tuple(tokens[i : i + width]))
+                        if label is not None:
+                            match_end, match_label = i + width, label
+                            break
+                    if match_label is None:
+                        i += 1
+                        continue
+                    mentions.append(
+                        EntityMention(
+                            table=table.name, row=rec.entry_id, column=column,
+                            start=i, end=match_end,
+                            surface=" ".join(tokens[i:match_end]),
+                            entity_type=match_label,
+                        )
+                    )
+                    i = match_end
+        return mentions
+
+    WORDS = ("apple", "Apple", "iphone", "6s", "pro", "a/b", "case.", "(x)")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        surfaces=st.dictionaries(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+            st.sampled_from(("ORG", "PRODUCT")),
+            max_size=8,
+        ),
+        cells=st.lists(
+            st.lists(st.sampled_from(WORDS + ("other",)), max_size=14).map(" ".join),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_matches_width_scan(self, surfaces, cells):
+        gaz = Gazetteer(entries=surfaces)
+        table = column_table(cells, name="tableA", column="title")
+        assert link_entities(table, gaz) == self.width_scan(table, gaz)
+
+    def test_widths_longest_first(self):
+        gaz = Gazetteer.from_pairs(
+            [("apple", "ORG"), ("apple iphone 6s", "PRODUCT"), ("apple iphone", "PRODUCT")]
+        )
+        assert gaz.widths("apple") == (3, 2, 1)
+        assert gaz.widths("iphone") == ()
 
 
 class TestDittoInject:
