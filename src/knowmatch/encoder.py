@@ -345,7 +345,10 @@ def _embed_cache(batch, params, config, ws):
 
 def _mask_bias(visible, dtype, ws):
     """Additive attention bias (B, 1, Lq, L) in ``dtype``: 0 where visible,
-    MASK_VALUE where not."""
+    MASK_VALUE where not. None when every cell is visible: a bias of zeros
+    changes no score, so the walk skips it."""
+    if visible.all():
+        return None
     bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, dtype))
     bias *= MASK_VALUE
     return bias[:, None]
@@ -357,7 +360,8 @@ def _attention_block(
     """One attention sub-block: projections, masked softmax, residual, LN.
 
     ``bias`` is ``_mask_bias(visible)``, built once per forward pass (once
-    per row chunk in ``forward``), and ``attn_dropout_mask`` is a full
+    per row chunk in ``forward``); None means every cell is visible, and
+    then the keys are ``x``'s rows. ``attn_dropout_mask`` is a full
     (B, H, L, L) mask. With ``cls_only`` only row 0 ([CLS]) queries: K and V
     are still projected for every row, but the scores are (B, H, 1, L) and
     the output is (B, 1, d). The arrays go into ``ws`` under ``slot``, which
@@ -368,16 +372,21 @@ def _attention_block(
     ``forward``'s trimmed chunks. K and V are then (B, L, d) with zero rows
     past n, so every score row still spans all L keys in the same order;
     the bias gives those keys exactly zero weight.
+
+    The queries are scaled by 1/√d_h before the score matmul, and the cache
+    keeps them scaled. For a head width that is a power of 4 the scale is a
+    power of 2, and the scores equal scaled products bit for bit; for other
+    widths they can differ in the last ulp.
     """
     slot = slot or prefix
     h = config.n_heads
     b, n, d = x.shape
-    l = bias.shape[-1]
+    l = n if bias is None else bias.shape[-1]
     lq = 1 if cls_only else n
     xq = x[:, :lq]
-    scale = 1.0 / math.sqrt(config.head_dim)
     q = _linear(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"],
                 ws.get(f"{slot}.q", xq.shape, x.dtype))
+    q *= 1.0 / math.sqrt(config.head_dim)
     k, v = (ws.get(f"{slot}.{name}", (b, l, d), x.dtype) for name in "kv")
     for name, out in (("k", k), ("v", v)):
         _linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"], out[:, :n])
@@ -387,8 +396,8 @@ def _attention_block(
         _split_heads(q, h), _split_heads(k, h).transpose(0, 1, 3, 2),
         out=ws.get(f"{slot}.weights", (b, h, lq, l), x.dtype),
     )
-    weights *= scale
-    weights += bias[:, :, :lq]
+    if bias is not None:
+        weights += bias[:, :, :lq]
     _softmax(weights)
     used = weights
     if attn_dropout_mask is not None:
@@ -603,8 +612,6 @@ def loss_and_gradients(
     dx.fill(0.0)
     dx[:, 0, :] = dlogits @ params["cls_w"].T
 
-    h = config.n_heads
-    scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
         prefix = f"l{i}"
         attn_cache, ffn_cache = cache["layers"][i]
@@ -625,45 +632,7 @@ def loss_and_gradients(
         dx1 = np.matmul(dh1, params[f"{prefix}.w1"].T, out=ws.get("dx", dz.shape, dtype))
         dx1 += dz
 
-        # Attention block: x1 = LN1(x + attn(x))
-        dz, dg, dbv = _layer_norm_backward(dx1, attn_cache["ln"], params[f"{prefix}.ln1_g"], ws)
-        grads[f"{prefix}.ln1_g"] = dg
-        grads[f"{prefix}.ln1_b"] = dbv
-        x, q, k, v = attn_cache["x"], attn_cache["q"], attn_cache["k"], attn_cache["v"]
-        weights, used = attn_cache["weights"], attn_cache["used"]
-        grads[f"{prefix}.wo"] = _rows(attn_cache["ctx"]).T @ _rows(dz)
-        grads[f"{prefix}.bo"] = dz.sum(axis=(0, 1))
-        # dctx goes into dx1's buffer; dv then lands in v's, dq in dctx's and
-        # dk in k's, each once its last reader is done.
-        dctx = np.matmul(dz, params[f"{prefix}.wo"].T, out=dx1)
-        dscores = np.matmul(
-            _split_heads(dctx, h), _split_heads(v, h).transpose(0, 1, 3, 2),
-            out=ws.get("dscores", weights.shape, dtype),
-        )
-        dq, dk, dv = dctx, k, v
-        np.matmul(used.transpose(0, 1, 3, 2), _split_heads(dctx, h), out=_split_heads(dv, h))
-        if attn_cache["dropout"] is not None:
-            dscores *= attn_cache["dropout"]
-        dscores -= np.multiply(
-            dscores, weights, out=ws.get("tmp", weights.shape, dtype)
-        ).sum(axis=-1, keepdims=True)
-        dscores *= weights
-        np.matmul(dscores, _split_heads(k, h), out=_split_heads(dq, h))
-        np.matmul(dscores.transpose(0, 1, 3, 2), _split_heads(q, h), out=_split_heads(dk, h))
-        dq *= scale
-        dk *= scale
-
-        lq = q.shape[1]
-        for n, rows, dn in (("q", x[:, :lq], dq), ("k", x, dk), ("v", x, dv)):
-            grads[f"{prefix}.w{n}"] = _rows(rows).T @ _rows(dn)
-            grads[f"{prefix}.b{n}"] = dn.sum(axis=(0, 1))
-        # dx = dk·wkᵀ + (dq·wqᵀ + dz) + dv·wvᵀ, where dq and dz cover the lq
-        # query rows only; dq·wqᵀ goes into q's buffer, dx into "dx".
-        dqx = np.matmul(dq, params[f"{prefix}.wq"].T, out=q)
-        dqx += dz
-        dx = np.matmul(dk, params[f"{prefix}.wk"].T, out=ws.get("dx", x.shape, dtype))
-        dx[:, :lq] += dqx
-        dx += np.matmul(dv, params[f"{prefix}.wv"].T, out=dk)
+        dx = _attention_backward(dx1, attn_cache, params, prefix, config, ws, grads)
 
     if cache["emb_mask"] is not None:
         dx *= cache["emb_mask"]
@@ -676,6 +645,54 @@ def loss_and_gradients(
         np.add.at(grads["seg_emb"], batch.segments, dsum)
 
     return loss_value, grads
+
+
+def _attention_backward(dx1, cache, params, prefix, config, ws, grads):
+    """Backward pass of ``_attention_block``: x1 = LN1(x + attn(x)). Puts
+    the block's parameter gradients into ``grads`` and returns dx, which is
+    the workspace's "dx" buffer; ``dx1`` and the cache's buffers are used as
+    scratch."""
+    h = config.n_heads
+    dtype = dx1.dtype
+    dz, dg, dbv = _layer_norm_backward(dx1, cache["ln"], params[f"{prefix}.ln1_g"], ws)
+    grads[f"{prefix}.ln1_g"] = dg
+    grads[f"{prefix}.ln1_b"] = dbv
+    x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
+    weights, used = cache["weights"], cache["used"]
+    grads[f"{prefix}.wo"] = _rows(cache["ctx"]).T @ _rows(dz)
+    grads[f"{prefix}.bo"] = dz.sum(axis=(0, 1))
+    # dctx goes into dx1's buffer; dv then lands in v's, dq in dctx's and
+    # dk in k's, each once its last reader is done.
+    dctx = np.matmul(dz, params[f"{prefix}.wo"].T, out=dx1)
+    dscores = np.matmul(
+        _split_heads(dctx, h), _split_heads(v, h).transpose(0, 1, 3, 2),
+        out=ws.get("dscores", weights.shape, dtype),
+    )
+    dq, dk, dv = dctx, k, v
+    np.matmul(used.transpose(0, 1, 3, 2), _split_heads(dctx, h), out=_split_heads(dv, h))
+    if cache["dropout"] is not None:
+        dscores *= cache["dropout"]
+    dscores -= np.multiply(
+        dscores, weights, out=ws.get("tmp", weights.shape, dtype)
+    ).sum(axis=-1, keepdims=True)
+    dscores *= weights
+    # The cached q is already scaled, so dk needs no scale of its own.
+    np.matmul(dscores, _split_heads(k, h), out=_split_heads(dq, h))
+    np.matmul(dscores.transpose(0, 1, 3, 2), _split_heads(q, h), out=_split_heads(dk, h))
+    dq *= 1.0 / math.sqrt(config.head_dim)
+
+    lq = q.shape[1]
+    for n, rows, dn in (("q", x[:, :lq], dq), ("k", x, dk), ("v", x, dv)):
+        grads[f"{prefix}.w{n}"] = _rows(rows).T @ _rows(dn)
+        grads[f"{prefix}.b{n}"] = dn.sum(axis=(0, 1))
+    # dx = dk·wkᵀ + (dq·wqᵀ + dz) + dv·wvᵀ, where dq and dz cover the lq
+    # query rows only; dq·wqᵀ goes into q's buffer, dx into "dx".
+    dqx = np.matmul(dq, params[f"{prefix}.wq"].T, out=q)
+    dqx += dz
+    dx = np.matmul(dk, params[f"{prefix}.wk"].T, out=ws.get("dx", x.shape, dtype))
+    dx[:, :lq] += dqx
+    dx += np.matmul(dv, params[f"{prefix}.wv"].T, out=dk)
+    return dx
 
 
 @dataclass

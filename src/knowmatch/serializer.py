@@ -8,9 +8,11 @@ injection sites that the constrained-prompting stage expands into branches.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -199,21 +201,6 @@ def serialize_entry(
     return TokenSeq(tokens=tuple(tokens), sites=tuple(sites))
 
 
-def _value_token_indices(tokens: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Indices in [lo, hi) that belong to a value region (after a [VAL])."""
-    out = []
-    in_value = False
-    for i in range(lo, hi):
-        tok = tokens[i]
-        if tok == VAL_ID:
-            in_value = True
-        elif tok == COL_ID:
-            in_value = False
-        elif in_value:
-            out.append(i)
-    return out
-
-
 def serialize_pair(
     e1: Record,
     e2: Record,
@@ -262,12 +249,13 @@ def serialize_pair(
 
 def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
     """Tokens, segments and sites of ``[CLS] left [SEP] right [SEP]`` cut to
-    ``max_len``, in one pass.
+    ``max_len``.
 
     Each dropped token is the last value token left on the side that is
     longer at that moment (ties: left), or on the other side once that side
     has no value tokens left. Sites whose head loses a token are dropped;
-    the others shift left by the number of tokens dropped before them.
+    the others shift left by the number of tokens dropped before them. The
+    cut takes a step per marker, run and site, not per token dropped.
     """
     tokens = [CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID]
     sites = [
@@ -285,43 +273,106 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
     excess = len(tokens) - max_len
     n_left = len(left.tokens)
     if excess > 0:
-        left_values = _value_token_indices(tokens, 1, right_base - 1)
-        right_values = _value_token_indices(tokens, right_base, len(tokens) - 1)
-        if excess > len(left_values) + len(right_values):
+        left_runs = _value_runs(tokens, 1, right_base - 1)
+        right_runs = _value_runs(tokens, right_base, len(tokens) - 1)
+        from_left, from_right = _drop_counts(
+            n_left, len(right.tokens),
+            sum(end - start for start, end in left_runs),
+            sum(end - start for start, end in right_runs),
+            excess,
+        )
+        if from_left + from_right < excess:
             raise SequenceOverflowError(
                 f"pair cannot fit into max_len={max_len} even with all values removed"
             )
-        from_left = from_right = 0
-        left_len, right_len = n_left, len(right.tokens)
-        for _ in range(excess):
-            left_has = from_left < len(left_values)
-            right_has = from_right < len(right_values)
-            if (left_len >= right_len and left_has) or not right_has:
-                from_left += 1
-                left_len -= 1
-            else:
-                from_right += 1
-                right_len -= 1
-        dropped = [False] * len(tokens)
-        for i in left_values[len(left_values) - from_left :]:
-            dropped[i] = True
-        for i in right_values[len(right_values) - from_right :]:
-            dropped[i] = True
-        before = [0] * (len(tokens) + 1)  # before[i]: dropped indices < i
-        for i, gone in enumerate(dropped):
-            before[i + 1] = before[i] + gone
-        tokens = [tok for tok, gone in zip(tokens, dropped) if not gone]
-        kept = []
+        cut = _tail(left_runs, from_left) + _tail(right_runs, from_right)
+        kept, prev = [], 0
+        for start, end in cut:
+            kept += tokens[prev:start]
+            prev = end
+        tokens = kept + tokens[prev:]
+        cut_starts = [start for start, _ in cut]
+        cut_before = list(accumulate((end - start for start, end in cut), initial=0))
+
+        def dropped_before(i: int) -> int:
+            k = bisect_left(cut_starts, i) - 1
+            return 0 if k < 0 else cut_before[k] + min(i, cut[k][1]) - cut[k][0]
+
+        kept_sites = []
         for s in sites:
             start, end = s.head
-            if before[end] == before[start]:  # the head lost no token
-                shift = before[start]
-                kept.append(InjectionSite((start - shift, end - shift), s.knowledge, s.kind))
-        sites = kept
+            shift = dropped_before(start)
+            if dropped_before(end) == shift:  # the head lost no token
+                kept_sites.append(
+                    InjectionSite((start - shift, end - shift), s.knowledge, s.kind)
+                )
+        sites = kept_sites
         n_left -= from_left
 
     segments = [0] * (n_left + 2) + [1] * (len(tokens) - n_left - 2)
     return tuple(tokens), tuple(segments), tuple(sites)
+
+
+def _value_runs(tokens: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """The [start, end) runs of value tokens in ``tokens[lo:hi]``: each
+    stretch after a [VAL] up to the next [VAL] or [COL]. Found with
+    ``list.index`` per marker, so the cost grows with the markers."""
+    marks = []
+    for marker in (VAL_ID, COL_ID):
+        at = lo
+        try:
+            while True:
+                at = tokens.index(marker, at, hi)
+                marks.append(at)
+                at += 1
+        except ValueError:
+            pass
+    marks.sort()
+    return [
+        (at + 1, end)
+        for at, end in zip(marks, marks[1:] + [hi])
+        if tokens[at] == VAL_ID and end > at + 1
+    ]
+
+
+def _drop_counts(
+    left_len: int, right_len: int, left_values: int, right_values: int, excess: int
+) -> tuple[int, int]:
+    """How many value tokens each side loses when ``excess`` tokens are
+    dropped one at a time from the side that is longer (ties: left), or
+    from the other side once that one has no value tokens left.
+
+    In closed form: the longer side drops down to level, then the sides
+    drop a token each, left first, and the side that still has values takes
+    the rest. Fewer than ``excess`` in all means the values ran out.
+    """
+    if left_len >= right_len:
+        from_left, from_right = min(left_len - right_len, excess, left_values), 0
+    else:
+        from_left, from_right = 0, min(right_len - left_len, excess, right_values)
+    excess -= from_left + from_right
+    pairs = min(excess // 2, left_values - from_left, right_values - from_right)
+    from_left += pairs
+    from_right += pairs
+    excess -= 2 * pairs
+    # Left now: at most one token with the sides level, or one side is out.
+    rest = min(excess, left_values - from_left)
+    from_left += rest
+    from_right += min(excess - rest, right_values - from_right)
+    return from_left, from_right
+
+
+def _tail(runs: list[tuple[int, int]], count: int) -> list[tuple[int, int]]:
+    """The [start, end) ranges, in order, that hold the last ``count``
+    positions of ``runs``."""
+    out = []
+    for start, end in reversed(runs):
+        if count <= 0:
+            break
+        take = min(count, end - start)
+        out.append((end - take, end))
+        count -= take
+    return out[::-1]
 
 
 def pair_to_json(seq: InputSequence) -> dict:

@@ -34,6 +34,10 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
+        # Most words have nothing to peel or split: they are one token.
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT and "/" not in chunk:
+            tokens.append(chunk)
+            continue
         i, j = 0, len(chunk)
         lead = []
         while i < j and chunk[i] in _PUNCT and chunk[i] != "/":

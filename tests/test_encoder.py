@@ -226,6 +226,104 @@ class TestForward:
             forward(batch, params, config)
 
 
+def bias_always(visible, dtype, ws):
+    """``_mask_bias`` that builds the bias even when every cell is visible."""
+    bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, dtype))
+    bias *= enc.MASK_VALUE
+    return bias[:, None]
+
+
+def scores_scaled_attention_block(
+    x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None, cls_only=False
+):
+    """``_attention_block`` that adds the bias and scales the scores, not
+    the queries: the reference walk for the encoder's."""
+    slot = slot or prefix
+    h = config.n_heads
+    b, n, d = x.shape
+    l = bias.shape[-1]
+    lq = 1 if cls_only else n
+    xq = x[:, :lq]
+    scale = 1.0 / math.sqrt(config.head_dim)
+    q = enc._linear(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"],
+                    ws.get(f"{slot}.q", xq.shape, x.dtype))
+    k, v = (ws.get(f"{slot}.{name}", (b, l, d), x.dtype) for name in "kv")
+    for name, out in (("k", k), ("v", v)):
+        enc._linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"], out[:, :n])
+        out[:, n:] = 0.0
+    weights = np.matmul(
+        enc._split_heads(q, h), enc._split_heads(k, h).transpose(0, 1, 3, 2),
+        out=ws.get(f"{slot}.weights", (b, h, lq, l), x.dtype),
+    )
+    weights *= scale
+    weights += bias[:, :, :lq]
+    enc._softmax(weights)
+    used = weights
+    if attn_dropout_mask is not None:
+        attn_dropout_mask = attn_dropout_mask[:, :, :lq]
+        used = np.multiply(
+            weights, attn_dropout_mask, out=ws.get(f"{slot}.used", weights.shape, x.dtype)
+        )
+    ctx = ws.get(f"{slot}.ctx", xq.shape, x.dtype)
+    np.matmul(used, enc._split_heads(v, h), out=enc._split_heads(ctx, h))
+    attn = enc._linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
+                       ws.get(f"{slot}.ln1", xq.shape, x.dtype))
+    attn += xq
+    out, ln_cache = enc._layer_norm(
+        attn, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"],
+        ws.get(f"{slot}.x1", xq.shape, x.dtype), ws,
+    )
+    cache = {
+        "x": x, "q": q, "k": k, "v": v, "weights": weights, "used": used,
+        "ctx": ctx, "ln": ln_cache, "dropout": attn_dropout_mask,
+    }
+    return out, cache
+
+
+def scores_scaled_attention_backward(dx1, cache, params, prefix, config, ws, grads):
+    """``_attention_backward`` for ``scores_scaled_attention_block``'s
+    unscaled queries: dq and dk both take the scale."""
+    h = config.n_heads
+    dtype = dx1.dtype
+    scale = 1.0 / math.sqrt(config.head_dim)
+    dz, dg, dbv = enc._layer_norm_backward(dx1, cache["ln"], params[f"{prefix}.ln1_g"], ws)
+    grads[f"{prefix}.ln1_g"] = dg
+    grads[f"{prefix}.ln1_b"] = dbv
+    x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
+    weights, used = cache["weights"], cache["used"]
+    grads[f"{prefix}.wo"] = enc._rows(cache["ctx"]).T @ enc._rows(dz)
+    grads[f"{prefix}.bo"] = dz.sum(axis=(0, 1))
+    dctx = np.matmul(dz, params[f"{prefix}.wo"].T, out=dx1)
+    dscores = np.matmul(
+        enc._split_heads(dctx, h), enc._split_heads(v, h).transpose(0, 1, 3, 2),
+        out=ws.get("dscores", weights.shape, dtype),
+    )
+    dq, dk, dv = dctx, k, v
+    np.matmul(used.transpose(0, 1, 3, 2), enc._split_heads(dctx, h), out=enc._split_heads(dv, h))
+    if cache["dropout"] is not None:
+        dscores *= cache["dropout"]
+    dscores -= np.multiply(
+        dscores, weights, out=ws.get("tmp", weights.shape, dtype)
+    ).sum(axis=-1, keepdims=True)
+    dscores *= weights
+    np.matmul(dscores, enc._split_heads(k, h), out=enc._split_heads(dq, h))
+    np.matmul(
+        dscores.transpose(0, 1, 3, 2), enc._split_heads(q, h), out=enc._split_heads(dk, h)
+    )
+    dq *= scale
+    dk *= scale
+    lq = q.shape[1]
+    for n, rows, dn in (("q", x[:, :lq], dq), ("k", x, dk), ("v", x, dv)):
+        grads[f"{prefix}.w{n}"] = enc._rows(rows).T @ enc._rows(dn)
+        grads[f"{prefix}.b{n}"] = dn.sum(axis=(0, 1))
+    dqx = np.matmul(dq, params[f"{prefix}.wq"].T, out=q)
+    dqx += dz
+    dx = np.matmul(dk, params[f"{prefix}.wk"].T, out=ws.get("dx", x.shape, dtype))
+    dx[:, :lq] += dqx
+    dx += np.matmul(dv, params[f"{prefix}.wv"].T, out=dk)
+    return dx
+
+
 class TestKernels:
     @staticmethod
     def pow_gelu(x):
@@ -416,6 +514,43 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert peak < 4 * one_weights, peak / one_weights
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mask", ["all_visible", "padded", "constrained"])
+    def test_unbiased_walk_equals_biased_scaled_scores_walk(self, mask, dtype, monkeypatch):
+        # Head width 16, a power of 4: the scale is 1/4, so scaling q
+        # instead of the scores changes no bit, and neither does a skipped
+        # bias of zeros.
+        config = small_config(
+            d_model=64, n_heads=4, d_ff=128, max_position=96, dtype=dtype,
+            dropout_rate=0.1,
+        )
+        lengths = (96, 50, 96, 7) if mask == "padded" else (96,) * 4
+        batch = self.long_batch(
+            config, np.random.default_rng(28),
+            "constrained" if mask == "constrained" else "template", lengths,
+        )
+        bias = enc._mask_bias(batch.visible, config.np_dtype, enc.Workspace())
+        assert (bias is None) == (mask == "all_visible")
+
+        def run():
+            params = init_params(config)
+            with blas_threads(1):
+                probs = forward(batch, params, config)
+                _, _, step_loss = train_step(
+                    batch, params, AdamState.init(params), 1e-3, config, dropout_seed=4
+                )
+            return probs, step_loss, params
+
+        probs, step_loss, params = run()
+        monkeypatch.setattr(enc, "_mask_bias", bias_always)
+        monkeypatch.setattr(enc, "_attention_block", scores_scaled_attention_block)
+        monkeypatch.setattr(enc, "_attention_backward", scores_scaled_attention_backward)
+        want_probs, want_loss, want_params = run()
+        assert probs.tobytes() == want_probs.tobytes()
+        assert step_loss == want_loss
+        for name in params:
+            assert params[name].tobytes() == want_params[name].tobytes(), name
 
 
 class TestLoss:

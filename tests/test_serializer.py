@@ -15,7 +15,6 @@ from knowmatch.serializer import (
     PromptMode,
     TokenSeq,
     _join_truncated,
-    _value_token_indices,
     build_vocab,
     pair_to_json,
     read_batch_file,
@@ -301,6 +300,21 @@ class TestSerializePair:
         assert seq.label == 1
 
 
+def _value_token_indices(tokens, lo, hi):
+    """Indices in [lo, hi) that belong to a value region (after a [VAL])."""
+    out = []
+    in_value = False
+    for i in range(lo, hi):
+        tok = tokens[i]
+        if tok == VAL_ID:
+            in_value = True
+        elif tok == COL_ID:
+            in_value = False
+        elif in_value:
+            out.append(i)
+    return out
+
+
 def loop_truncate(left, right, max_len):
     """The original drop-one-token-per-iteration truncation, kept as the
     oracle for ``_join_truncated``."""
@@ -361,10 +375,44 @@ def entries(draw):
     return TokenSeq(tuple(tokens), tuple(sites))
 
 
+@st.composite
+def long_entries(draw):
+    """Like ``entries``, at long-cell scale: value runs of up to 400 tokens,
+    some of them with a [VAL] inside, so both sides reach level and one side
+    runs out of values."""
+    words = st.integers(min_value=6, max_value=40)
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        tokens += [COL_ID, *draw(st.lists(words, min_size=1, max_size=2))]
+        run_start = len(tokens) + 1
+        n_values = draw(st.integers(min_value=0, max_value=400))
+        tokens += [VAL_ID, *(6 + i % 35 for i in range(n_values))]
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(run_start, len(tokens))), VAL_ID)
+    sites = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        start = draw(st.integers(min_value=0, max_value=len(tokens)))
+        end = draw(st.integers(min_value=start, max_value=min(len(tokens), start + 3)))
+        sites.append(InjectionSite((start, end), (7,), "entity"))
+    return TokenSeq(tuple(tokens), tuple(sites))
+
+
 class TestTruncation:
     @settings(max_examples=300, deadline=None)
     @given(left=entries(), right=entries(), cut=st.integers(min_value=-2, max_value=60))
     def test_matches_loop_oracle(self, left, right, cut):
+        self.check_against_oracle(left, right, cut)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        left=long_entries(), right=long_entries(),
+        cut=st.integers(min_value=-2, max_value=900),
+    )
+    def test_matches_loop_oracle_at_long_cell_scale(self, left, right, cut):
+        self.check_against_oracle(left, right, cut)
+
+    @staticmethod
+    def check_against_oracle(left, right, cut):
         max_len = max(8, len(left.tokens) + len(right.tokens) + 3 - cut)
         try:
             want = loop_truncate(left, right, max_len)

@@ -1,4 +1,8 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowmatch.errors import FormatError
 from knowmatch.serializer import build_vocab
@@ -13,7 +17,46 @@ from knowmatch.text import (
 from conftest import make_table
 
 
+def loop_tokenize(text):
+    """The per-character tokenizer, kept as the oracle for ``tokenize``."""
+    punct = set(string.punctuation)
+    tokens = []
+    for chunk in text.lower().split():
+        i, j = 0, len(chunk)
+        lead = []
+        while i < j and chunk[i] in punct and chunk[i] != "/":
+            lead.append(chunk[i])
+            i += 1
+        trail = []
+        while j > i and chunk[j - 1] in punct and chunk[j - 1] != "/":
+            trail.append(chunk[j - 1])
+            j -= 1
+        tokens.extend(lead)
+        core = chunk[i:j]
+        for k, part in enumerate(core.split("/")):
+            if k:
+                tokens.append("/")
+            if part:
+                tokens.append(part)
+        tokens.extend(reversed(trail))
+    return tokens
+
+
+# Letters, digits, every ASCII punctuation mark (the slash among them),
+# non-ASCII letters ("İ" grows by a character when lowercased) and the
+# whitespace ``str.split`` breaks on, Unicode spaces and separators too.
+TEXT_ALPHABET = (
+    string.ascii_letters + string.digits + string.punctuation
+    + "éßİΣж" + " \t\n\u00a0\u2003\x1c"
+)
+
+
 class TestTokenize:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(alphabet=TEXT_ALPHABET, max_size=40))
+    def test_matches_loop_oracle(self, text):
+        assert tokenize(text) == loop_tokenize(text)
+
     def test_trailing_punctuation_split(self):
         assert tokenize("iPhone 6s,") == ["iphone", "6s", ","]
 
