@@ -38,7 +38,7 @@ from .errors import (
     KnowmatchError,
     NumericalError,
 )
-from .injection import Branch, InjectionTree, build_injection_tree, check_length, expand
+from .injection import Branch, InjectionTree, expand
 from .knowledge import (
     AnnotationStore,
     Gazetteer,
@@ -50,6 +50,7 @@ from .knowledge import (
 from .serializer import (
     PromptMode,
     build_vocab,
+    check_length,
     pair_to_json,
     read_batch_file,
     serialize_pair,
@@ -109,17 +110,23 @@ class RunConfig:
             raise DomainError(f"unknown ditto_mode {self.ditto_mode!r}")
         # 8 is the least max_len that serialize_pair accepts.
         for name, lowest in (
-            ("d_model", 1), ("n_heads", 1), ("n_layers", 0), ("d_ff", 1), ("min_count", 1),
-            ("batch_size", 1), ("epochs", 0), ("max_len", 8), ("seed", 0),
+            ("min_count", 1), ("batch_size", 1), ("epochs", 0), ("max_len", 8), ("seed", 0),
         ):
             if getattr(self, name) < lowest:
                 raise DomainError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DomainError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.lr < math.inf:
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if self.threads != 1:
             raise DomainError("threads accepts only 1: run_train and evaluate run BLAS on one thread")
+        self.encoder_config(vocab_size=1)  # the encoder checks its own keys
+
+    def encoder_config(self, vocab_size: int) -> EncoderConfig:
+        """The encoder that ``run_train`` trains over a ``vocab_size`` vocabulary."""
+        return EncoderConfig(
+            vocab_size=vocab_size, d_model=self.d_model, n_heads=self.n_heads,
+            n_layers=self.n_layers, d_ff=self.d_ff, max_position=self.max_len,
+            dropout_rate=self.dropout, seed=self.seed, use_segments=self.use_segments,
+        )
 
     @property
     def mode(self) -> PromptMode:
@@ -295,8 +302,8 @@ def run_prepare(config: RunConfig) -> dict:
                 tokenize=tokens,
                 entries=entries,
             )
-            if seq.sites:
-                check_length(build_injection_tree(seq), config.max_len)
+            if seq.sites:  # without sites, truncation already fits max_len
+                check_length(seq, config.max_len)
             lines.append(pair_to_json(seq))
         write_batch_file(out_dir / "batches" / f"{split}.jsonl", lines)
         counts[split] = len(lines)
@@ -415,17 +422,7 @@ def run_train(config: RunConfig) -> dict:
     # Decoded once: constrained lines are not re-expanded every epoch.
     manifest, seqs = _load_prepared(config, "train", len(tokenizer))
 
-    enc_config = EncoderConfig(
-        vocab_size=len(tokenizer),
-        d_model=config.d_model,
-        n_heads=config.n_heads,
-        n_layers=config.n_layers,
-        d_ff=config.d_ff,
-        max_position=config.max_len,
-        dropout_rate=config.dropout,
-        seed=config.seed,
-        use_segments=config.use_segments,
-    )
+    enc_config = config.encoder_config(len(tokenizer))
     params = init_params(enc_config)
     state = AdamState.init(params)
     rng = np.random.default_rng(config.seed)

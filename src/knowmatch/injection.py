@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OverlapError, SequenceOverflowError
-from .serializer import InputSequence, PromptMode, TokenSeq
+from .errors import DomainError, OverlapError
+from .serializer import InputSequence, PromptMode, TokenSeq, check_length
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,6 @@ def build_visible_matrix(tree: InjectionTree, flat_len: int) -> np.ndarray:
     return _visible_matrix(tree, layout)
 
 
-def check_length(tree: InjectionTree, max_len: int) -> None:
-    """Injection never truncates knowledge: an over-budget tree is an error."""
-    n = len(tree.trunk) + sum(len(br.knowledge) for br in tree.branches)
-    if n > max_len:
-        raise SequenceOverflowError(f"injected length {n} exceeds max_len {max_len}")
-
-
 def expand(tree: InjectionTree, segments: Sequence[int]) -> InjectedSequence:
     """Flatten a tree whose trunk has the given segment ids. Branch tokens
     inherit the segment of their head's last token."""
@@ -172,6 +165,5 @@ def assemble(pair: InputSequence, max_len: int) -> InjectedSequence:
     """Expand a constrained-mode pair into its injected sequence."""
     if pair.mode is not PromptMode.CONSTRAINED:
         raise DomainError(f"assemble requires constrained mode, got {pair.mode}")
-    tree = build_injection_tree(pair)
-    check_length(tree, max_len)
-    return expand(tree, pair.segments)
+    check_length(pair, max_len)
+    return expand(build_injection_tree(pair), pair.segments)

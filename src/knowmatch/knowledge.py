@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -142,16 +143,19 @@ class AnnotationStore:
         self._column_types[(ann.table, ann.column)] = ann
 
     def add_mention(self, mention: EntityMention) -> None:
+        """Insert in start order. A cell is sorted and disjoint, so only the
+        neighbours at the insertion point can overlap; the error names the
+        leftmost overlapping mention."""
         key = (mention.table, mention.row, mention.column)
         cell = self._mentions.setdefault(key, [])
-        for other in cell:
+        at = bisect_right(cell, mention.start, key=lambda m: m.start)
+        for other in cell[at - 1 if at else 0 : at + 1]:
             if mention.start < other.end and other.start < mention.end:
                 raise OverlapError(
                     f"mention [{mention.start},{mention.end}) overlaps "
                     f"[{other.start},{other.end}) in cell {key}"
                 )
-        cell.append(mention)
-        cell.sort(key=lambda m: m.start)
+        cell.insert(at, mention)
 
     def column_type(self, table: str, column: str) -> ColumnTypeAnnotation | None:
         return self._column_types.get((table, column))

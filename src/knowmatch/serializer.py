@@ -138,67 +138,53 @@ def serialize_entry(
 ) -> TokenSeq:
     """Serialize one record to ``[COL] name [VAL] value`` tokens per column.
 
-    Template modes splice the column type after the column name and each
-    mention's type after its span (slash mode adds a "/" token in between).
-    Constrained mode leaves the trunk untouched and records injection sites.
+    One walk builds the plain trunk and lists every knowledge site in trunk
+    order: a column type's head is the column name, a mention's head its
+    span of the value. Constrained mode keeps the trunk and records a site
+    per non-empty label with a non-empty head; template modes splice each
+    non-empty label in right after its head (slash mode puts "/" first).
     Texts are split by ``tokenize``, which may be a memo of ``text.tokenize``.
     """
-    slash_id = tokenizer.encode_tokens(["/"])[0]
-    tokens: list[int] = []
-    sites: list[InjectionSite] = []
-
+    trunk: list[int] = []
+    found: list[tuple[int, int, list[int], str]] = []  # (start, end, knowledge, kind)
     for column, value in record.columns:
-        tokens.append(COL_ID)
-        name_start = len(tokens)
-        tokens.extend(tokenizer.encode_text(column, tokenize))
-        name_end = len(tokens)
-
+        trunk.append(COL_ID)
+        name_start = len(trunk)
+        trunk.extend(tokenizer.encode_text(column, tokenize))
         ann = store.column_type(table, column)
         if ann is not None:
-            know = tuple(tokenizer.encode_text(ann.predicted_type, tokenize))
-            if know:
-                if mode is PromptMode.CONSTRAINED:
-                    # A branch needs a head: skip injection on empty names.
-                    if name_end > name_start:
-                        sites.append(
-                            InjectionSite((name_start, name_end), know, "column")
-                        )
-                else:
-                    if mode is PromptMode.SLASH:
-                        tokens.append(slash_id)
-                    tokens.extend(know)
-
-        tokens.append(VAL_ID)
+            know = tokenizer.encode_text(ann.predicted_type, tokenize)
+            found.append((name_start, len(trunk), know, "column"))
+        trunk.append(VAL_ID)
         value_tokens = tokenizer.encode_text(value, tokenize)
-        mentions = store.mentions_for(table, record.entry_id, column)
-        for m in mentions:
+        base = len(trunk)
+        for m in store.mentions_for(table, record.entry_id, column):
             if m.end > len(value_tokens):
                 raise AnnotationMismatchError(
                     f"mention [{m.start},{m.end}) exceeds {len(value_tokens)} value "
                     f"tokens in table {table!r} row {record.entry_id!r} column {column!r}"
                 )
-        base = len(tokens)
-        if mode is PromptMode.CONSTRAINED:
-            tokens.extend(value_tokens)
-            for m in mentions:
-                know = tuple(tokenizer.encode_text(m.entity_type, tokenize))
-                if know:
-                    sites.append(
-                        InjectionSite((base + m.start, base + m.end), know, "entity")
-                    )
-        else:
-            cursor = 0
-            for m in mentions:
-                tokens.extend(value_tokens[cursor : m.end])
-                cursor = m.end
-                know = tokenizer.encode_text(m.entity_type, tokenize)
-                if know:
-                    if mode is PromptMode.SLASH:
-                        tokens.append(slash_id)
-                    tokens.extend(know)
-            tokens.extend(value_tokens[cursor:])
+            know = tokenizer.encode_text(m.entity_type, tokenize)
+            found.append((base + m.start, base + m.end, know, "entity"))
+        trunk.extend(value_tokens)
 
-    return TokenSeq(tokens=tuple(tokens), sites=tuple(sites))
+    if mode is PromptMode.CONSTRAINED:
+        sites = tuple(
+            InjectionSite((start, end), tuple(know), kind)
+            for start, end, know, kind in found
+            if know and end > start
+        )
+        return TokenSeq(tokens=tuple(trunk), sites=sites)
+    joiner = tokenizer.encode_tokens(["/"]) if mode is PromptMode.SLASH else []
+    tokens, cursor = [], 0
+    for _, end, know, _ in found:
+        if know:
+            tokens += trunk[cursor:end]
+            tokens += joiner
+            tokens += know
+            cursor = end
+    tokens += trunk[cursor:]
+    return TokenSeq(tokens=tuple(tokens))
 
 
 def serialize_pair(
@@ -311,6 +297,14 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
 
     segments = [0] * (n_left + 2) + [1] * (len(tokens) - n_left - 2)
     return tuple(tokens), tuple(segments), tuple(sites)
+
+
+def check_length(seq: InputSequence, max_len: int) -> None:
+    """Injection never truncates knowledge: a pair whose trunk plus branch
+    tokens exceed ``max_len`` is an error."""
+    n = len(seq.tokens) + sum(len(s.knowledge) for s in seq.sites)
+    if n > max_len:
+        raise SequenceOverflowError(f"injected length {n} exceeds max_len {max_len}")
 
 
 def _value_runs(tokens: list[int], lo: int, hi: int) -> list[tuple[int, int]]:

@@ -213,7 +213,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "flag",
         [("--batch_size", "0"), ("--epochs", "-3"), ("--n_heads", "0"), ("--seed", "-1"),
-         ("--dropout", "1.0"), ("--lr", "nan")],
+         ("--dropout", "1.0"), ("--lr", "nan"), ("--d_model", "10")],
     )
     def test_bad_config_value_exit_2(self, synth_dir, tmp_path, capsys, flag):
         out = tmp_path / "out"

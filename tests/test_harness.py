@@ -205,6 +205,7 @@ class TestResolveConfig:
             ({"use_segments": 1}, FormatError),
             ({"gazetteer": 5}, FormatError),
             ({"data_dir": None}, FormatError),
+            ({"d_model": 10, "n_heads": 3}, DomainError),
         ],
     )
     def test_bad_value_rejected(self, values, error):
@@ -609,6 +610,20 @@ class TestBatchLines:
             small_dataset, tmp_path / "out", prompt_mode="constrained",
             annotations=str(small_dataset / "gold_annotations.jsonl"),
         ))
+
+    def test_prepare_builds_no_injection_tree(self, small_dataset, tmp_path, monkeypatch):
+        import knowmatch.injection as injection_module
+
+        def forbidden(self):
+            raise AssertionError("prepare built an injection tree")
+
+        monkeypatch.setattr(injection_module.InjectionTree, "__post_init__", forbidden)
+        manifest = run_prepare(desk_config(
+            small_dataset, tmp_path / "out", prompt_mode="constrained",
+            annotations=str(small_dataset / "gold_annotations.jsonl"),
+        ))
+        assert manifest["prompt_mode"] == "constrained"
+        assert any(line["sites"] for line in read_batch_file(tmp_path / "out/batches/train.jsonl"))
 
     def test_evaluate_rejects_old_format_batches(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out", epochs=0)

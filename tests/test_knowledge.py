@@ -241,6 +241,48 @@ class TestAnnotationStore:
         spans = [(m.start, m.end) for m in store.mentions_for("t", "0", "c")]
         assert spans == [(0, 1), (2, 3)]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inserts=st.lists(
+            st.tuples(
+                st.sampled_from(["0", "1"]),
+                st.integers(min_value=0, max_value=30),
+                st.integers(min_value=1, max_value=4),
+            ),
+            max_size=40,
+        )
+    )
+    def test_add_mention_matches_scan_and_sort(self, inserts):
+        # The oracle is the earlier store: check every mention of the cell,
+        # then append and re-sort.
+        cells = {}
+
+        def scan_and_sort(mention):
+            key = (mention.table, mention.row, mention.column)
+            cell = cells.setdefault(key, [])
+            for other in cell:
+                if mention.start < other.end and other.start < mention.end:
+                    raise OverlapError(
+                        f"mention [{mention.start},{mention.end}) overlaps "
+                        f"[{other.start},{other.end}) in cell {key}"
+                    )
+            cell.append(mention)
+            cell.sort(key=lambda m: m.start)
+
+        store = AnnotationStore()
+        for n, (row, start, width) in enumerate(inserts):
+            mention = EntityMention("t", row, "c", start, start + width, "s", f"T{n}")
+            outcomes = []
+            for add in (scan_and_sort, store.add_mention):
+                try:
+                    add(mention)
+                    outcomes.append(None)
+                except OverlapError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        want = [m for key in sorted(cells) for m in cells[key]]
+        assert store.all_mentions() == want
+
     def test_column_type_override(self):
         store = AnnotationStore()
         store.add_column_type(ColumnTypeAnnotation("t", "c", "year", 0.9))

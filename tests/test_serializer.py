@@ -9,6 +9,7 @@ from knowmatch.errors import (
     DomainError,
     SequenceOverflowError,
 )
+from knowmatch.injection import build_injection_tree, flatten_with_soft_positions
 from knowmatch.knowledge import AnnotationStore, ColumnTypeAnnotation, EntityMention
 from knowmatch.serializer import (
     InjectionSite,
@@ -22,7 +23,7 @@ from knowmatch.serializer import (
     serialize_pair,
     write_batch_file,
 )
-from knowmatch.text import CLS_ID, COL_ID, SEP_ID, VAL_ID
+from knowmatch.text import CLS_ID, COL_ID, SEP_ID, VAL_ID, tokenize
 
 from conftest import make_table
 
@@ -181,6 +182,84 @@ class TestSerializeEntry:
             for mode in (PromptMode.SPACE, PromptMode.SLASH):
                 templ = serialize_entry(record, annotated_store, mode, tokenizer)
                 assert len(pct.tokens) <= len(templ.tokens)
+
+
+# Labels and column names include texts that tokenize to nothing.
+_LABELS = ["song", "mobile phone", "PRODUCT", "", "  "]
+
+
+@st.composite
+def annotated_records(draw):
+    """(record, store): 1-3 columns with random column types and random
+    disjoint mentions on each value."""
+    columns = draw(
+        st.lists(st.sampled_from(["title", "price", "brand name", "", " "]),
+                 min_size=1, max_size=3, unique=True)
+    )
+    values = [
+        " ".join(draw(st.lists(st.sampled_from(["a", "b", "c-d", "e/f"]), max_size=8)))
+        for _ in columns
+    ]
+    record = make_table("tableA", columns, [values]).rows[0]
+    store = AnnotationStore()
+    for column, value in zip(columns, values):
+        if draw(st.booleans()):
+            store.add_column_type(
+                ColumnTypeAnnotation("tableA", column, draw(st.sampled_from(_LABELS)), 1.0)
+            )
+        at, n_tokens = 0, len(tokenize(value))
+        while at < n_tokens:
+            at += draw(st.integers(min_value=0, max_value=2))
+            end = at + draw(st.integers(min_value=1, max_value=3))
+            if end <= n_tokens:
+                store.add_mention(EntityMention(
+                    "tableA", "0", column, at, end, "s", draw(st.sampled_from(_LABELS))
+                ))
+            at = end
+    return record, store
+
+
+def spliced(record, store, tokenizer, joiner):
+    """The entry with each non-empty label, after ``joiner``, spliced in
+    right after its head: the column name or the mention span."""
+    out = []
+    for column, value in record.columns:
+        out += [COL_ID, *tokenizer.encode_text(column)]
+        ann = store.column_type("tableA", column)
+        if ann is not None and tokenize(ann.predicted_type):
+            out += [*joiner, *tokenizer.encode_text(ann.predicted_type)]
+        out.append(VAL_ID)
+        value_ids, cursor = tokenizer.encode_text(value), 0
+        for m in store.mentions_for("tableA", record.entry_id, column):
+            out += value_ids[cursor : m.end]
+            if tokenize(m.entity_type):
+                out += [*joiner, *tokenizer.encode_text(m.entity_type)]
+            cursor = m.end
+        out += value_ids[cursor:]
+    return out
+
+
+class TestModesDifferOnlyInRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(entry=annotated_records())
+    def test_one_walk_three_renderings(self, entry):
+        record, store = entry
+        table = make_table("tableA", [c for c, _ in record.columns], [])
+        tokenizer = build_vocab([table], extra_labels=_LABELS + ["a", "b", "c", "d", "e", "f"])
+        space, slash, pct = (
+            serialize_entry(record, store, mode, tokenizer)
+            for mode in (PromptMode.SPACE, PromptMode.SLASH, PromptMode.CONSTRAINED)
+        )
+        assert list(space.tokens) == spliced(record, store, tokenizer, [])
+        assert list(slash.tokens) == spliced(record, store, tokenizer, [tokenizer.vocab["/"]])
+        assert space.sites == slash.sites == ()
+        plain = serialize_entry(record, AnnotationStore(), PromptMode.CONSTRAINED, tokenizer)
+        assert pct.tokens == plain.tokens
+        assert all(s.knowledge and s.head[1] > s.head[0] for s in pct.sites)
+        annotated = [c for c, _ in record.columns if store.column_type("tableA", c)]
+        if all(tokenize(c) for c in annotated):
+            flat = flatten_with_soft_positions(build_injection_tree(pct))[0]
+            assert space.tokens == flat
 
 
 class TestSerializePair:
