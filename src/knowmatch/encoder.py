@@ -24,6 +24,9 @@ from .tabular import json_object
 MASK_VALUE = -1e9
 LN_EPS = 1e-5
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # Evaluation runs the layer stack on row chunks of the batch whose
 # (rows, H, L, L) attention scores would fit in this many bytes: 1 row at
 # L=512 with 4 heads in float64, the whole batch at short lengths. A chunk's
@@ -716,9 +719,6 @@ def train_step(
     state: AdamState,
     lr: float,
     config: EncoderConfig,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     dropout_seed: int | None = None,
     ws: Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState, float]:
@@ -736,25 +736,25 @@ def train_step(
             raise NumericalError(f"non-finite gradient in {name}, step aborted")
 
     t = state.step + 1
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
         u = ws.get("adam_u", g.shape, g.dtype)
         s = ws.get("adam_s", g.shape, g.dtype)
         # m = b1·m + (1 - b1)·g
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=u)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=u)
         # v = b2·v + (1 - b2)·g²
-        v *= beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=u)
-        u *= 1.0 - beta2
+        u *= 1.0 - ADAM_BETA2
         v += u
         # p -= lr·(m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=u)
         u *= lr
         np.sqrt(np.divide(v, bc2, out=s), out=s)
-        s += eps
+        s += ADAM_EPS
         u /= s
         p -= u
     return params, AdamState(step=t, m=state.m, v=state.v), loss_value

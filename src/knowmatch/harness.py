@@ -222,21 +222,20 @@ def build_annotations(
     ditto_mode: str,
     tokenize: Callable[[str], Sequence[str]] = tokenize,
 ) -> AnnotationStore:
-    """Collect annotations: rule typer, gazetteer, then an external JSONL file
-    (whose column types override). Ditto filtering applies to mentions last.
-    Gazetteer linking splits cells by ``tokenize``."""
-    store = AnnotationStore()
+    """Collect annotations in the JSONL file's store (or an empty one): the rule
+    typer types only columns the file leaves untyped, and gazetteer mentions
+    join the file's. Ditto filters mentions last; linking splits by ``tokenize``."""
+    store = ingest_annotations(annotations) if annotations else AnnotationStore()
     if rule_typer:
         for table in tables:
             for ann in infer_column_types(table):
-                store.add_column_type(ann)
+                if store.column_type(ann.table, ann.column) is None:
+                    store.add_column_type(ann)
     if gazetteer:
         gaz = Gazetteer.from_file(gazetteer)
         for table in tables:
             for mention in link_entities(table, gaz, tokenize):
                 store.add_mention(mention)
-    if annotations:
-        store.merge(ingest_annotations(annotations))
     if ditto_mode.lower() == "off":
         return store
     filtered = AnnotationStore()
@@ -281,6 +280,8 @@ def run_prepare(config: RunConfig) -> dict:
 
     out_dir = Path(config.out_dir)
     (out_dir / "batches").mkdir(parents=True, exist_ok=True)
+    # Gone until written last, so a prepare that fails midway leaves nothing to load.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     tokenizer.save(out_dir / "vocab.tsv")
 
     mode = config.mode
@@ -372,10 +373,12 @@ def _batches_of(seqs, order, batch_size):
         yield Batch.from_sequences(chunk, pad_id=PAD_ID)
 
 
-def _load_prepared(config: RunConfig, split: str, vocab_size: int) -> tuple[dict, list[tuple]]:
-    """Read a prepared ``out_dir``: its manifest, checked against the config,
-    and one split's batch lines decoded by ``_line_to_sequence``, whose token
-    ids must be below ``vocab_size``."""
+def _load_prepared(
+    config: RunConfig, split: str, vocab_size: int, vocab_hash: str | None
+) -> list[tuple]:
+    """One split of a prepared ``out_dir``, decoded by ``_line_to_sequence``. Its
+    manifest must match the config and ``vocab_hash`` (of ``vocab.tsv`` or a
+    checkpoint), and its token ids must be below ``vocab_size``."""
     out_dir = Path(config.out_dir)
     manifest_path = out_dir / "manifest.json"
     manifest = load_config_file(manifest_path)
@@ -387,6 +390,11 @@ def _load_prepared(config: RunConfig, split: str, vocab_size: int) -> tuple[dict
                 f"{out_dir} was prepared with {key}={manifest.get(key)!r}, "
                 f"not {value!r}; re-run prepare"
             )
+    if manifest["vocab_hash"] != vocab_hash:
+        raise IncompatibleArtifactsError(
+            f"the vocabulary does not match the one {out_dir} was prepared with; "
+            "re-run prepare (and train)"
+        )
     if split not in manifest["splits"]:
         raise FileNotFoundError(f"split {split!r} was not prepared in {out_dir}")
     path = out_dir / "batches" / f"{split}.jsonl"
@@ -399,7 +407,7 @@ def _load_prepared(config: RunConfig, split: str, vocab_size: int) -> tuple[dict
         except KnowmatchError as exc:  # also a bad site head (Domain/OverlapError)
             raise FormatError(f"{path}: batch line {n}: {exc}") from exc
         seqs.append(seq)
-    return manifest, seqs
+    return seqs
 
 
 def _on_config_threads(phase):
@@ -420,7 +428,7 @@ def run_train(config: RunConfig) -> dict:
     out_dir = Path(config.out_dir)
     tokenizer = Tokenizer.load(out_dir / "vocab.tsv")
     # Decoded once: constrained lines are not re-expanded every epoch.
-    manifest, seqs = _load_prepared(config, "train", len(tokenizer))
+    seqs = _load_prepared(config, "train", len(tokenizer), tokenizer.vocab_hash)
 
     enc_config = config.encoder_config(len(tokenizer))
     params = init_params(enc_config)
@@ -431,25 +439,26 @@ def run_train(config: RunConfig) -> dict:
     ws = Workspace()
 
     checkpoint_path = out_dir / "checkpoint.bin"
+    # train_step updates params in place, so this saves the current ones.
+    save = functools.partial(
+        save_checkpoint, checkpoint_path, params, enc_config, config.seed,
+        vocab_hash=tokenizer.vocab_hash,
+    )
     log_path = out_dir / "loss_log.jsonl"
-    losses = []
+    loss_value = None
     step = 0
     with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(config.epochs):
             order = rng.permutation(len(seqs)).tolist()
             for batch in _batches_of(seqs, order, config.batch_size):
                 try:
-                    params, state, loss_value = train_step(
+                    _, state, loss_value = train_step(
                         batch, params, state, config.lr, enc_config,
                         dropout_seed=config.seed * 1_000_003 + step, ws=ws,
                     )
                 except NumericalError:  # raised before params changed
-                    save_checkpoint(
-                        checkpoint_path, params, enc_config, config.seed,
-                        vocab_hash=manifest["vocab_hash"],
-                    )
+                    save()
                     raise
-                losses.append(loss_value)
                 log.write(
                     json.dumps(
                         {"step": step, "epoch": epoch, "loss": loss_value},
@@ -458,15 +467,12 @@ def run_train(config: RunConfig) -> dict:
                     + "\n"
                 )
                 step += 1
-    save_checkpoint(
-        checkpoint_path, params, enc_config, config.seed,
-        vocab_hash=manifest["vocab_hash"],
-    )
+    save()
     return {
         "checkpoint": str(checkpoint_path),
         "loss_log": str(log_path),
         "steps": step,
-        "final_loss": losses[-1] if losses else None,
+        "final_loss": loss_value,
     }
 
 
@@ -476,11 +482,7 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
     out_dir = Path(config.out_dir)
     checkpoint = Path(checkpoint) if checkpoint else out_dir / "checkpoint.bin"
     params, enc_config, _seed, header = load_checkpoint(checkpoint)
-    manifest, seqs = _load_prepared(config, split, enc_config.vocab_size)
-    if header.get("vocab_hash") != manifest["vocab_hash"]:
-        raise IncompatibleArtifactsError(
-            "checkpoint vocabulary does not match the prepared batches"
-        )
+    seqs = _load_prepared(config, split, enc_config.vocab_size, header.get("vocab_hash"))
     predictions, labels = [], []
     order = list(range(len(seqs)))
     ws = Workspace()

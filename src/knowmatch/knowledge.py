@@ -178,13 +178,6 @@ class AnnotationStore:
         labels.update(m.entity_type for ms in self._mentions.values() for m in ms)
         return sorted(labels)
 
-    def merge(self, other: "AnnotationStore") -> None:
-        """Fold another store in; its column types override, mentions add."""
-        for ann in other.all_column_types():
-            self.add_column_type(ann)
-        for mention in other.all_mentions():
-            self.add_mention(mention)
-
     def counts(self) -> dict[str, int]:
         return {
             "column_types": len(self._column_types),
@@ -354,6 +347,8 @@ def ingest_annotations(path: str | Path) -> AnnotationStore:
                 )
         except (KeyError, ValueError, TypeError, FormatError) as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        except OverlapError as exc:
+            raise OverlapError(f"{path}: line {lineno}: {exc}") from exc
     return store
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knowmatch import blas, harness
+from knowmatch import blas, cli, harness
 from knowmatch.encoder import init_params, load_checkpoint
 from knowmatch.errors import (
     DegenerateError,
@@ -30,6 +31,14 @@ from knowmatch.harness import (
     run_train,
 )
 from knowmatch.injection import assemble
+from knowmatch.knowledge import (
+    AnnotationStore,
+    Gazetteer,
+    ditto_inject,
+    infer_column_types,
+    ingest_annotations,
+    link_entities,
+)
 from knowmatch.serializer import (
     PromptMode,
     build_vocab,
@@ -511,6 +520,102 @@ class TestPrepare:
         assert column_labels and all(label == ["name"] for label in column_labels)
 
 
+class TestBuildAnnotations:
+    @staticmethod
+    def three_store_build(tables, rule_typer, gazetteer, annotations, ditto_mode):
+        """``build_annotations`` as it was with three stores: rule typer, then
+        gazetteer, then the file's store merged in (its column types
+        override), then a filtered copy for Ditto."""
+        store = AnnotationStore()
+        if rule_typer:
+            for table in tables:
+                for ann in infer_column_types(table):
+                    store.add_column_type(ann)
+        if gazetteer:
+            gaz = Gazetteer.from_file(gazetteer)
+            for table in tables:
+                for mention in link_entities(table, gaz):
+                    store.add_mention(mention)
+        if annotations:
+            other = ingest_annotations(annotations)
+            for ann in other.all_column_types():
+                store.add_column_type(ann)
+            for mention in other.all_mentions():
+                store.add_mention(mention)
+        if ditto_mode.lower() == "off":
+            return store
+        filtered = AnnotationStore()
+        for ann in store.all_column_types():
+            filtered.add_column_type(ann)
+        for mention in ditto_inject(store.all_mentions(), ditto_mode):
+            filtered.add_mention(mention)
+        return filtered
+
+    @staticmethod
+    def annotation_file(data_dir, tables, gaz_path, path):
+        """The gold mentions that no ``GAZETTEER`` mention overlaps, relabelled
+        so that each Ditto mode keeps some and drops some, plus one column type
+        that the rule typer never predicts."""
+        gaz = Gazetteer.from_file(gaz_path)
+        linked = {}
+        for table in tables:
+            for m in link_entities(table, gaz):
+                linked.setdefault((m.table, m.row, m.column), []).append((m.start, m.end))
+        left = tables[0]
+        anns = [{
+            "kind": "column_type", "table": left.name, "column": left.schema[0],
+            "type": "person_name", "confidence": 0.5,
+        }]
+        labels = ("ORG", "GPE", "PERSON", "artist")
+        for line in (data_dir / "gold_annotations.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            spans = linked.get((obj["table"], obj.get("row"), obj["column"]), ())
+            if obj["kind"] == "mention" and all(
+                obj["end"] <= start or end <= obj["start"] for start, end in spans
+            ):
+                anns.append(dict(obj, type=labels[len(anns) % len(labels)]))
+        path.write_text("".join(json.dumps(a) + "\n" for a in anns), encoding="utf-8")
+        return len(anns) - 1
+
+    @pytest.mark.parametrize("ditto_mode", ["off", "general", "product"])
+    @pytest.mark.parametrize("use_file", [False, True])
+    @pytest.mark.parametrize("use_gazetteer", [False, True])
+    @pytest.mark.parametrize("rule_typer", [False, True])
+    def test_same_store_as_three_store_build(
+        self, small_dataset, tmp_path, rule_typer, use_gazetteer, use_file, ditto_mode
+    ):
+        tables = harness.load_tables(small_dataset)
+        gaz = tmp_path / "gaz.tsv"
+        gaz.write_text(GAZETTEER, encoding="utf-8")
+        ann_path = tmp_path / "anns.jsonl"
+        assert self.annotation_file(small_dataset, tables, gaz, ann_path) >= 4
+        args = (
+            tables, rule_typer, str(gaz) if use_gazetteer else None,
+            str(ann_path) if use_file else None, ditto_mode,
+        )
+        store, oracle = build_annotations(*args), self.three_store_build(*args)
+        assert store.all_column_types() == oracle.all_column_types()
+        assert store.all_mentions() == oracle.all_mentions()
+        assert store.counts() == oracle.counts()
+
+    def test_each_file_mention_added_once(self, small_dataset, monkeypatch):
+        path = small_dataset / "gold_annotations.jsonl"
+        n_mentions = sum(
+            json.loads(line)["kind"] == "mention" for line in path.read_text().splitlines()
+        )
+        calls = []
+        real_add = AnnotationStore.add_mention
+
+        def spy(self, mention):
+            calls.append(mention)
+            real_add(self, mention)
+
+        monkeypatch.setattr(AnnotationStore, "add_mention", spy)
+        tables = harness.load_tables(small_dataset)
+        store = build_annotations(tables, False, None, str(path), "off")
+        assert len(calls) == n_mentions == store.counts()["mentions"]
+
+
 class TestBatchLines:
     LINE = {"tokens": [0, 7, 8, 9, 1], "segments": [0, 0, 0, 0, 0], "label": 1}
 
@@ -798,6 +903,37 @@ class TestTrainEvaluate:
         manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
         with pytest.raises(IncompatibleArtifactsError):
             evaluate(config, "test")
+
+    def test_train_rejects_vocab_not_in_manifest(self, small_dataset, tmp_path):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        vocab = tmp_path / "out" / "vocab.tsv"
+        size = len(Tokenizer.load(vocab))
+        with open(vocab, "a", encoding="utf-8") as fh:
+            fh.write(f"qqqqq\t{size}\n")
+        with pytest.raises(IncompatibleArtifactsError, match="vocabulary"):
+            run_train(config)
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+    def test_failed_prepare_leaves_nothing_to_load(self, small_dataset, tmp_path):
+        out = tmp_path / "out"
+        config = desk_config(small_dataset, out, prompt_mode="constrained", max_len=20)
+        run_prepare(config)
+        run_train(config)
+        # The rule typer's column-type branches overflow max_len 20, after
+        # prepare has written a vocabulary that holds the gazetteer's labels.
+        gaz = tmp_path / "gaz.tsv"
+        gaz.write_text(GAZETTEER, encoding="utf-8")
+        overflowing = dataclasses.replace(config, use_rule_typer=True, gazetteer=str(gaz))
+        with pytest.raises(SequenceOverflowError):
+            run_prepare(overflowing)
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            run_train(config)
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            evaluate(config, "test")
+        flags = ["--data_dir", str(small_dataset), "--out_dir", str(out), "--profile", "desk",
+                 "--epochs", "2", "--batch_size", "8", "--mode", "constrained", "--max_len", "20"]
+        assert cli.main(["train", *flags]) == 2
 
     @pytest.mark.parametrize("key, value", [("prompt_mode", "constrained"), ("max_len", 64)])
     def test_config_differing_from_manifest_rejected(self, small_dataset, tmp_path, key, value):

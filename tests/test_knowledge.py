@@ -328,7 +328,7 @@ class TestIngestExport:
             '{"kind":"mention","table":"A","row":"0","column":"c","start":0,"end":2,"surface":"a b","type":"ORG"}\n'
             '{"kind":"mention","table":"A","row":"0","column":"c","start":1,"end":3,"surface":"b c","type":"LOC"}\n'
         )
-        with pytest.raises(OverlapError):
+        with pytest.raises(OverlapError, match=r"ann\.jsonl: line 2: "):
             ingest_annotations(path)
 
     def test_bad_json_reports_line(self, tmp_path):
