@@ -81,13 +81,6 @@ class EncoderConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
-
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Declared parameter order and shapes (used by init and checkpoints)."""
@@ -147,7 +140,7 @@ class Batch:
     soft_positions: np.ndarray  # (B, L) int64
     segments: np.ndarray       # (B, L) int64
     visible: np.ndarray        # (B, L, L) bool
-    labels: np.ndarray | None  # (B,) int64
+    labels: np.ndarray | None  # (B,) int64; None in forward's row chunks
 
     @classmethod
     def from_sequences(
@@ -157,7 +150,8 @@ class Batch:
         dtype=None,
     ) -> "Batch":
         """Pad (tokens, soft_positions, segments, visible-or-None, label)
-        tuples into one batch. ``visible=None`` means fully visible.
+        tuples into one batch. ``visible=None`` means fully visible; every
+        tuple needs its int label.
 
         ``dtype`` is ignored: the mask is bool whatever the model dtype. The
         keyword stays because callers written when the mask took the model
@@ -169,18 +163,14 @@ class Batch:
         seg = np.zeros((b, max_len), dtype=np.int64)
         vis = np.zeros((b, max_len, max_len), dtype=bool)
         labels = np.zeros(b, dtype=np.int64)
-        has_labels = True
         for i, (tokens, soft_pos, segments, visible, label) in enumerate(seqs):
             n = len(tokens)
             ids[i, :n] = tokens
             soft[i, :n] = soft_pos if soft_pos is not None else np.arange(n)
             seg[i, :n] = segments
             vis[i, :n, :n] = True if visible is None else visible
-            if label is None:
-                has_labels = False
-            else:
-                labels[i] = label
-        return cls(ids, soft, seg, vis, labels if has_labels else None)
+            labels[i] = label
+        return cls(ids, soft, seg, vis, labels)
 
     @property
     def size(self) -> int:
@@ -771,7 +761,7 @@ def save_checkpoint(
     order = param_shapes(config)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "seed": seed,
         "vocab_hash": vocab_hash,
         "params": [{"name": n, "shape": list(params[n].shape)} for n in order],
@@ -794,7 +784,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version")
         try:
-            config = EncoderConfig.from_dict(header["config"])
+            config = EncoderConfig(**header["config"])
             seed = int(header["seed"])
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc

@@ -57,7 +57,7 @@ from .serializer import (
     write_batch_file,
 )
 from .stats import paired_ttest
-from .tabular import SPLITS, Table, json_object, load_pairs, load_table
+from .tabular import SPLITS, Table, json_object, load_pairs, load_table, write_json_lines
 from .text import PAD_ID, Tokenizer, tokenize, tokenize_once
 
 SEED_ENV_VAR = "KAER_SEED"
@@ -322,8 +322,7 @@ def run_prepare(config: RunConfig) -> dict:
             **store.counts(),
         },
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
+    write_json_lines(out_dir / "manifest.json", [manifest])
     return manifest
 
 
@@ -381,6 +380,11 @@ def _load_prepared(
     checkpoint), and its token ids must be below ``vocab_size``."""
     out_dir = Path(config.out_dir)
     manifest_path = out_dir / "manifest.json"
+    if not manifest_path.exists():  # prepare removes it first, writes it last
+        raise FileNotFoundError(
+            f"{manifest_path} is missing: the last prepare of {out_dir} did not "
+            "finish or never ran; re-run prepare"
+        )
     manifest = load_config_file(manifest_path)
     if not isinstance(manifest.get("splits"), dict) or "vocab_hash" not in manifest:
         raise FormatError(f"{manifest_path}: no splits or vocab_hash")
@@ -491,8 +495,7 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
         predictions.extend(np.argmax(probs, axis=1).tolist())
         labels.extend(batch.labels.tolist())
     metrics = Metrics.from_predictions(predictions, labels)
-    with open(out_dir / f"metrics_{split}.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(metrics.to_dict(), sort_keys=True) + "\n")
+    write_json_lines(out_dir / f"metrics_{split}.json", [metrics.to_dict()])
     return metrics
 
 

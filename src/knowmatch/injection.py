@@ -15,20 +15,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, OverlapError
-from .serializer import InputSequence, PromptMode, TokenSeq, check_length
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One injected knowledge subsequence attached to a trunk head span."""
-
-    head: tuple[int, int]
-    knowledge: tuple[int, ...]
+from .serializer import Branch, InputSequence, PromptMode, check_length
 
 
 @dataclass(frozen=True)
 class InjectionTree:
-    """A trunk token sequence with depth-1 knowledge branches."""
+    """A trunk token sequence with depth-1 knowledge branches. Only their
+    ``head`` and ``knowledge`` are read."""
 
     trunk: tuple[int, ...]
     branches: tuple[Branch, ...]
@@ -55,16 +48,8 @@ class InjectedSequence:
 
     tokens: tuple[int, ...]
     soft_positions: tuple[int, ...]
-    visible: np.ndarray  # (L, L) uint8, symmetric, all-ones diagonal
+    visible: np.ndarray  # (L, L) bool, symmetric, all-True diagonal
     segments: tuple[int, ...]
-
-
-def build_injection_tree(seq: TokenSeq | InputSequence) -> InjectionTree:
-    """Build the depth-1 tree for a constrained-mode token sequence."""
-    return InjectionTree(
-        trunk=tuple(seq.tokens),
-        branches=tuple(Branch(site.head, site.knowledge) for site in seq.sites),
-    )
 
 
 class _Layout(NamedTuple):
@@ -130,12 +115,11 @@ def _visible_matrix(tree: InjectionTree, layout: _Layout) -> np.ndarray:
         & (anchor[None, :] <= anchor[:, None])
     )
     # Equal owners: both trunk, the same branch, or the diagonal.
-    visible = (owner[:, None] == owner[None, :]) | sees_head | sees_head.T
-    return visible.astype(np.uint8)
+    return (owner[:, None] == owner[None, :]) | sees_head | sees_head.T
 
 
 def build_visible_matrix(tree: InjectionTree, flat_len: int) -> np.ndarray:
-    """Binary visibility matrix over the flattened sequence.
+    """Bool visibility matrix over the flattened sequence.
 
     Two tokens see each other iff they are both trunk tokens, belong to the
     same branch, or are a branch token and a token of that branch's head
@@ -166,4 +150,4 @@ def assemble(pair: InputSequence, max_len: int) -> InjectedSequence:
     if pair.mode is not PromptMode.CONSTRAINED:
         raise DomainError(f"assemble requires constrained mode, got {pair.mode}")
     check_length(pair, max_len)
-    return expand(build_injection_tree(pair), pair.segments)
+    return expand(InjectionTree(pair.tokens, pair.sites), pair.segments)

@@ -3,7 +3,7 @@
 A single entry serializes to ``[COL] name ... [VAL] value ...`` per column;
 a pair to ``[CLS] left [SEP] right [SEP]``. Knowledge is injected either
 inline (space or slash template) or, in constrained mode, recorded as
-injection sites that the constrained-prompting stage expands into branches.
+branches (a sequence's ``sites``) that the injection stage expands.
 """
 
 from __future__ import annotations
@@ -51,20 +51,22 @@ class PromptMode(Enum):
 
 
 @dataclass(frozen=True)
-class InjectionSite:
-    """A pending knowledge attachment: head span in the trunk + label tokens."""
+class Branch:
+    """One knowledge subsequence attached to a trunk head span. The
+    serializer's branches name their ``kind``; the injection tree does not
+    read it."""
 
     head: tuple[int, int]
     knowledge: tuple[int, ...]
-    kind: str  # "column" | "entity"
+    kind: str | None = None  # "column" | "entity"
 
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Serialized tokens of one entry, with injection sites in constrained mode."""
+    """Serialized tokens of one entry, with its branches in constrained mode."""
 
     tokens: tuple[int, ...]
-    sites: tuple[InjectionSite, ...] = ()
+    sites: tuple[Branch, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class InputSequence:
     right: TokenSeq
     tokens: tuple[int, ...]
     segments: tuple[int, ...]
-    sites: tuple[InjectionSite, ...]
+    sites: tuple[Branch, ...]
     mode: PromptMode
     label: int | None = None
 
@@ -170,7 +172,7 @@ def serialize_entry(
 
     if mode is PromptMode.CONSTRAINED:
         sites = tuple(
-            InjectionSite((start, end), tuple(know), kind)
+            Branch((start, end), tuple(know), kind)
             for start, end, know, kind in found
             if know and end > start
         )
@@ -245,14 +247,12 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
     """
     tokens = [CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID]
     sites = [
-        InjectionSite((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
+        Branch((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
         for s in left.sites
     ]
     right_base = 1 + len(left.tokens) + 1
     sites += [
-        InjectionSite(
-            (s.head[0] + right_base, s.head[1] + right_base), s.knowledge, s.kind
-        )
+        Branch((s.head[0] + right_base, s.head[1] + right_base), s.knowledge, s.kind)
         for s in right.sites
     ]
 
@@ -289,9 +289,7 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
             start, end = s.head
             shift = dropped_before(start)
             if dropped_before(end) == shift:  # the head lost no token
-                kept_sites.append(
-                    InjectionSite((start - shift, end - shift), s.knowledge, s.kind)
-                )
+                kept_sites.append(Branch((start - shift, end - shift), s.knowledge, s.kind))
         sites = kept_sites
         n_left -= from_left
 

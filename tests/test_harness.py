@@ -632,6 +632,10 @@ class TestBatchLines:
         assert visible[3].tolist() == [0, 0, 1, 1, 1, 0, 0]
         assert label == 1
 
+    def test_line_with_sites_has_bool_mask(self):
+        line = dict(self.LINE, sites=[{"head": [2, 3], "know": [40], "kind": "entity"}])
+        assert _line_to_sequence(line)[3].dtype == bool
+
     @pytest.mark.parametrize("key", ["soft_pos", "visible_rows"])
     def test_old_constrained_format_rejected(self, key):
         line = dict(self.LINE, sites=[], **{key: []})
@@ -915,7 +919,7 @@ class TestTrainEvaluate:
             run_train(config)
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
-    def test_failed_prepare_leaves_nothing_to_load(self, small_dataset, tmp_path):
+    def test_failed_prepare_leaves_nothing_to_load(self, small_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         config = desk_config(small_dataset, out, prompt_mode="constrained", max_len=20)
         run_prepare(config)
@@ -927,13 +931,16 @@ class TestTrainEvaluate:
         overflowing = dataclasses.replace(config, use_rule_typer=True, gazetteer=str(gaz))
         with pytest.raises(SequenceOverflowError):
             run_prepare(overflowing)
-        with pytest.raises(FileNotFoundError, match="manifest.json"):
+        unfinished = r"manifest\.json is missing: the last prepare of .* did not finish"
+        with pytest.raises(FileNotFoundError, match=unfinished):
             run_train(config)
-        with pytest.raises(FileNotFoundError, match="manifest.json"):
+        with pytest.raises(FileNotFoundError, match=unfinished):
             evaluate(config, "test")
         flags = ["--data_dir", str(small_dataset), "--out_dir", str(out), "--profile", "desk",
                  "--epochs", "2", "--batch_size", "8", "--mode", "constrained", "--max_len", "20"]
+        capsys.readouterr()
         assert cli.main(["train", *flags]) == 2
+        assert "did not finish" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("prompt_mode", "constrained"), ("max_len", 64)])
     def test_config_differing_from_manifest_rejected(self, small_dataset, tmp_path, key, value):

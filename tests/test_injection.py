@@ -3,18 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from knowmatch import injection, serializer
 from knowmatch.errors import DomainError, OverlapError, SequenceOverflowError
 from knowmatch.injection import (
     Branch,
     InjectionTree,
     assemble,
-    build_injection_tree,
     build_visible_matrix,
     flatten_with_soft_positions,
 )
-from knowmatch.knowledge import AnnotationStore, EntityMention
+from knowmatch.knowledge import AnnotationStore, ColumnTypeAnnotation, EntityMention
 from knowmatch.serializer import (
-    InjectionSite,
     PromptMode,
     TokenSeq,
     build_vocab,
@@ -74,28 +73,45 @@ def oracle_visible(tree):
 
 class TestInjectionTree:
     def test_zero_sites(self):
-        tree = build_injection_tree(TokenSeq(tokens=(1, 2, 3)))
+        seq = TokenSeq(tokens=(1, 2, 3))
+        tree = InjectionTree(seq.tokens, seq.sites)
         assert tree.branches == ()
         assert tree.trunk == (1, 2, 3)
 
     def test_branch_from_site(self):
         seq = TokenSeq(
             tokens=(2, 10, 3, 11, 12),
-            sites=(InjectionSite((3, 4), (42,), "entity"),),
+            sites=(Branch((3, 4), (42,), "entity"),),
         )
-        tree = build_injection_tree(seq)
-        assert tree.branches == (Branch((3, 4), (42,)),)
+        tree = InjectionTree(seq.tokens, seq.sites)
+        assert tree.branches == (Branch((3, 4), (42,), "entity"),)
 
     def test_two_sites_order_preserved(self):
         seq = TokenSeq(
             tokens=(2, 10, 3, 11, 12),
             sites=(
-                InjectionSite((1, 2), (40,), "column"),
-                InjectionSite((3, 4), (41,), "entity"),
+                Branch((1, 2), (40,), "column"),
+                Branch((3, 4), (41,), "entity"),
             ),
         )
-        tree = build_injection_tree(seq)
+        tree = InjectionTree(seq.tokens, seq.sites)
         assert [b.head for b in tree.branches] == [(1, 2), (3, 4)]
+
+    def test_one_branch_type(self):
+        assert injection.Branch is serializer.Branch
+
+    def test_constrained_sites_are_branches_with_kind(self):
+        left = make_table("tableA", ("title",), [("iphone 99",)])
+        right = make_table("tableB", ("title",), [("iphone 99 pro",)])
+        store = AnnotationStore()
+        store.add_column_type(ColumnTypeAnnotation("tableA", "title", "product", 1.0))
+        store.add_mention(EntityMention("tableB", "0", "title", 0, 1, "iphone", "PRODUCT"))
+        pair = serialize_pair(
+            left.rows[0], right.rows[0], store, PromptMode.CONSTRAINED,
+            build_vocab([left, right]), 64,
+        )
+        assert all(type(site) is Branch for site in pair.sites)
+        assert [site.kind for site in pair.sites] == ["column", "entity"]
 
     def test_overlapping_heads_rejected(self):
         with pytest.raises(OverlapError):
@@ -225,6 +241,11 @@ class TestVisibleMatrix:
                     head_size = br.head[1] - br.head[0]
                     assert visible[i].sum() == head_size + len(br.knowledge)
 
+    def test_bool_mask(self):
+        tree = random_tree(random.Random(2))
+        tokens, _, _ = flatten_with_soft_positions(tree)
+        assert build_visible_matrix(tree, len(tokens)).dtype == bool
+
     def test_flat_len_mismatch(self):
         tree = InjectionTree(trunk=(1, 2), branches=())
         with pytest.raises(DomainError):
@@ -245,6 +266,10 @@ class TestAssemble:
         )
         return pair, tokenizer
 
+    def test_bool_mask(self):
+        pair, _ = self.build_pair(PromptMode.CONSTRAINED)
+        assert assemble(pair, 64).visible.dtype == bool
+
     def test_template_mode_rejected(self):
         pair, _ = self.build_pair(PromptMode.SLASH)
         with pytest.raises(DomainError):
@@ -263,7 +288,7 @@ class TestAssemble:
         assert inj.soft_positions == tuple(range(len(pair.tokens)))
         assert (inj.visible == 1).all()
         assert inj.segments == pair.segments
-        assert flatten_with_soft_positions(build_injection_tree(pair))[2] == (
+        assert flatten_with_soft_positions(InjectionTree(pair.tokens, pair.sites))[2] == (
             (1,) * len(pair.tokens)
         )
 
@@ -273,7 +298,7 @@ class TestAssemble:
         product_id = tokenizer.vocab["product"]
         idx = inj.tokens.index(product_id)
         assert inj.segments[idx] == 1
-        assert flatten_with_soft_positions(build_injection_tree(pair))[2][idx] == 0
+        assert flatten_with_soft_positions(InjectionTree(pair.tokens, pair.sites))[2][idx] == 0
 
     def test_overflow_rejected(self):
         pair, _ = self.build_pair(PromptMode.CONSTRAINED)
@@ -283,7 +308,7 @@ class TestAssemble:
     def test_trunk_recovery(self):
         pair, _ = self.build_pair(PromptMode.CONSTRAINED)
         inj = assemble(pair, 64)
-        _, _, trunk_mask = flatten_with_soft_positions(build_injection_tree(pair))
+        _, _, trunk_mask = flatten_with_soft_positions(InjectionTree(pair.tokens, pair.sites))
         recovered = [
             tok
             for _, tok in sorted(

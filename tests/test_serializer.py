@@ -9,10 +9,10 @@ from knowmatch.errors import (
     DomainError,
     SequenceOverflowError,
 )
-from knowmatch.injection import build_injection_tree, flatten_with_soft_positions
+from knowmatch.injection import InjectionTree, flatten_with_soft_positions
 from knowmatch.knowledge import AnnotationStore, ColumnTypeAnnotation, EntityMention
 from knowmatch.serializer import (
-    InjectionSite,
+    Branch,
     PromptMode,
     TokenSeq,
     _join_truncated,
@@ -258,7 +258,7 @@ class TestModesDifferOnlyInRendering:
         assert all(s.knowledge and s.head[1] > s.head[0] for s in pct.sites)
         annotated = [c for c, _ in record.columns if store.column_type("tableA", c)]
         if all(tokenize(c) for c in annotated):
-            flat = flatten_with_soft_positions(build_injection_tree(pct))[0]
+            flat = flatten_with_soft_positions(InjectionTree(pct.tokens, pct.sites))[0]
             assert space.tokens == flat
 
 
@@ -399,12 +399,12 @@ def loop_truncate(left, right, max_len):
     oracle for ``_join_truncated``."""
     tokens = [CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID]
     sites = [
-        InjectionSite((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
+        Branch((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
         for s in left.sites
     ]
     right_base = 1 + len(left.tokens) + 1
     sites += [
-        InjectionSite(
+        Branch(
             (s.head[0] + right_base, s.head[1] + right_base), s.knowledge, s.kind
         )
         for s in right.sites
@@ -430,7 +430,7 @@ def loop_truncate(left, right, max_len):
                 continue
             if start > drop:
                 start, end = start - 1, end - 1
-            kept_sites.append(InjectionSite((start, end), s.knowledge, s.kind))
+            kept_sites.append(Branch((start, end), s.knowledge, s.kind))
         sites = kept_sites
     first_sep = tokens.index(SEP_ID)
     segments = [0] * (first_sep + 1) + [1] * (len(tokens) - first_sep - 1)
@@ -450,7 +450,7 @@ def entries(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         start = draw(st.integers(min_value=0, max_value=len(tokens)))
         end = draw(st.integers(min_value=start, max_value=len(tokens)))
-        sites.append(InjectionSite((start, end), (7,), "entity"))
+        sites.append(Branch((start, end), (7,), "entity"))
     return TokenSeq(tuple(tokens), tuple(sites))
 
 
@@ -472,7 +472,7 @@ def long_entries(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         start = draw(st.integers(min_value=0, max_value=len(tokens)))
         end = draw(st.integers(min_value=start, max_value=min(len(tokens), start + 3)))
-        sites.append(InjectionSite((start, end), (7,), "entity"))
+        sites.append(Branch((start, end), (7,), "entity"))
     return TokenSeq(tuple(tokens), tuple(sites))
 
 
