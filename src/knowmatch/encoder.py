@@ -27,13 +27,15 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Evaluation runs the layer stack on row chunks of the batch whose
-# (rows, H, L, L) attention scores would fit in this many bytes: 1 row at
-# L=512 with 4 heads in float64, the whole batch at short lengths. A chunk's
-# buffers are kept for the whole ``evaluate`` call, so they are sized small.
-# The chunk size depends on L alone; the padding that ``forward`` then drops
-# only makes a chunk's buffers smaller.
-ATTN_CHUNK_BYTES = 8 * 2**20
+# The bound on one attention score block in evaluation, in bytes. It sets
+# two sizes: the row chunks, whose (rows, H, L, L) scores must fit (1 row at
+# L=512, the whole batch at short lengths), and the head groups, run one at a
+# time within a chunk. 2 MiB is one head's (512, 512) float64 block and a
+# typical per-core L2. The chunk size depends on L alone; the padding that
+# ``forward`` then drops only makes a chunk's buffers smaller. Blocks of up to
+# (16, 4, 53, 53) float64 fit whole, so short inputs run in one group.
+# Training is not bounded: it scores every head in one block.
+ATTN_CHUNK_BYTES = 2 * 2**20
 # ``forward`` runs a chunk's hidden layers on its real query rows, rounded up
 # to a multiple of this. OpenBLAS computes rows past its last whole tile in
 # remainder kernels whose sums can differ in the last bit, so the exact count
@@ -347,8 +349,20 @@ def _mask_bias(visible, dtype, ws):
     return bias[:, None]
 
 
+def _head_groups(n_heads, rows, lq, l, itemsize, score_bytes):
+    """Head slices in the largest groups that divide ``n_heads`` and whose
+    (rows, group, lq, l) scores fit in ``score_bytes``, one head at least;
+    all heads in one group when ``score_bytes`` is None."""
+    size = max((
+        g for g in range(1, n_heads + 1) if n_heads % g == 0
+        and (score_bytes is None or rows * g * lq * l * itemsize <= score_bytes)
+    ), default=1)
+    return [slice(j, j + size) for j in range(0, n_heads, size)]
+
+
 def _attention_block(
-    x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None, cls_only=False
+    x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None, cls_only=False,
+    score_bytes=None,
 ):
     """One attention sub-block: projections, masked softmax, residual, LN.
 
@@ -360,6 +374,13 @@ def _attention_block(
     the output is (B, 1, d). The arrays go into ``ws`` under ``slot``, which
     defaults to the layer's ``prefix``: training keeps each layer's arrays
     for the backward pass.
+
+    With ``score_bytes`` the masked softmax runs per head group (see
+    ``_head_groups``), each group writing its slice of ``ctx``, and the
+    cache's ``weights`` and ``used`` hold the last group only: such a call
+    is forward-only. Training passes None: one (B, H, lq, L) block, which
+    the backward pass reads. A group makes the same per-(row, head)
+    products and the softmax is row-wise, so grouping changes no bit.
 
     ``bias`` may have more key columns L than ``x`` has rows n, as in
     ``forward``'s trimmed chunks. K and V are then (B, L, d) with zero rows
@@ -384,23 +405,27 @@ def _attention_block(
     for name, out in (("k", k), ("v", v)):
         _linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"], out[:, :n])
         out[:, n:] = 0.0
-    # Masked softmax in the one (B, H, lq, L) buffer the scores come in.
-    weights = np.matmul(
-        _split_heads(q, h), _split_heads(k, h).transpose(0, 1, 3, 2),
-        out=ws.get(f"{slot}.weights", (b, h, lq, l), x.dtype),
-    )
-    if bias is not None:
-        weights += bias[:, :, :lq]
-    _softmax(weights)
-    used = weights
     if attn_dropout_mask is not None:
         attn_dropout_mask = attn_dropout_mask[:, :, :lq]
-        used = np.multiply(
-            weights, attn_dropout_mask, out=ws.get(f"{slot}.used", weights.shape, x.dtype)
-        )
     # The heads' contexts are written straight into merged (B, lq, d) layout.
     ctx = ws.get(f"{slot}.ctx", xq.shape, x.dtype)
-    np.matmul(used, _split_heads(v, h), out=_split_heads(ctx, h))
+    qh, kh, vh, ctxh = (_split_heads(a, h) for a in (q, k, v, ctx))
+    for hs in _head_groups(h, b, lq, l, x.itemsize, score_bytes):
+        # Masked softmax in the one (B, group, lq, L) buffer the scores come in.
+        weights = np.matmul(
+            qh[:, hs], kh[:, hs].transpose(0, 1, 3, 2),
+            out=ws.get(f"{slot}.weights", (b, hs.stop - hs.start, lq, l), x.dtype),
+        )
+        if bias is not None:
+            weights += bias[:, :, :lq]
+        _softmax(weights)
+        used = weights
+        if attn_dropout_mask is not None:
+            used = np.multiply(
+                weights, attn_dropout_mask[:, hs],
+                out=ws.get(f"{slot}.used", weights.shape, x.dtype),
+            )
+        np.matmul(used, vh[:, hs], out=ctxh[:, hs])
     attn = _linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
                    ws.get(f"{slot}.ln1", xq.shape, x.dtype))
     attn += xq
@@ -483,10 +508,11 @@ def _dropout_mask(rng, rate, ws, name, shape, dtype):
     return out
 
 
-def _encode(batch, params, config, ws, dropout_rng=None, slot=None):
+def _encode(batch, params, config, ws, dropout_rng=None, slot=None, score_bytes=None):
     """Embedding, dropout (at ``config.dropout_rate``, iff ``dropout_rng`` is
     given), mask bias and the layer stack: the final hidden states and the
-    caches that the backward pass reads. ``slot`` as in ``_attention_block``.
+    caches that the backward pass reads. ``slot`` and ``score_bytes`` as in
+    ``_attention_block``.
 
     Only the [CLS] state feeds the classifier, so the last layer computes
     row 0 alone and the states are (B, 1, d); they are the embedding's
@@ -507,7 +533,7 @@ def _encode(batch, params, config, ws, dropout_rng=None, slot=None):
         )
         x, attn_cache = _attention_block(
             x, bias, params, f"l{i}", config, ws, attn_mask, slot,
-            cls_only=i == config.n_layers - 1,
+            cls_only=i == config.n_layers - 1, score_bytes=score_bytes,
         )
         x, ffn_cache = _ffn_block(x, params, f"l{i}", ws, slot)
         layer_caches.append((attn_cache, ffn_cache))
@@ -522,9 +548,11 @@ def forward(
     Runs ``_encode`` on row chunks of the batch sized by
     ``ATTN_CHUNK_BYTES``, and every layer of every chunk writes into one set
     of buffers in ``ws`` (a fresh ``Workspace`` if None; ``evaluate`` keeps
-    one per call): only one chunk's attention scores and mask bias exist at
-    a time, not the batch's or each layer's. Pairs never attend across rows,
-    so this is exact.
+    one per call): only one chunk's mask bias and one head group's attention
+    scores exist at a time, not the batch's, each layer's or each head's.
+    The groups are sized by the same constant (see ``_head_groups``), so
+    the returned caches hold the last group's scores only; this walk is
+    forward-only. Pairs never attend across rows, so this is exact.
 
     A chunk's hidden layers run on its first n rows only, where n counts up
     to its last token that sees or is seen by any token, rounded up to a
@@ -554,7 +582,7 @@ def forward(
             batch.segments[part, :n], visible[:, :n], None,
         )
         # One slot for all layers: each block reads the other block's output.
-        x, _ = _encode(chunk, params, config, ws, slot="layer")
+        x, _ = _encode(chunk, params, config, ws, slot="layer", score_bytes=ATTN_CHUNK_BYTES)
         h_cls[part] = x[:, 0, :]
     return _classify(h_cls, params)
 

@@ -234,10 +234,12 @@ def bias_always(visible, dtype, ws):
 
 
 def scores_scaled_attention_block(
-    x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None, cls_only=False
+    x, bias, params, prefix, config, ws, attn_dropout_mask=None, slot=None, cls_only=False,
+    score_bytes=None,
 ):
     """``_attention_block`` that adds the bias and scales the scores, not
-    the queries: the reference walk for the encoder's."""
+    the queries: the reference walk for the encoder's. It ignores
+    ``score_bytes`` and keeps every head in one score block."""
     slot = slot or prefix
     h = config.n_heads
     b, n, d = x.shape
@@ -486,20 +488,27 @@ class TestKernels:
             for entry in (("l0", (rows, 4, trimmed, 512)), ("l1", (rows, 4, 1, 512)))
         ]
 
+    @staticmethod
+    def traced_peak(fn):
+        """Peak bytes that tracemalloc sees while ``fn()`` runs."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_forward_peak_memory_bounded_per_chunk(self):
         # The long-cell scoring shape: a whole-batch forward peaks at about
-        # 218 MB here (scores and mask bias of all 16 rows), a chunked one at
-        # about 15 MB.
+        # 218 MB here (scores and mask bias of all 16 rows), a chunked one
+        # that scores one head group at a time at about 7 MB. One row's
+        # scores for all 4 heads would take 8 MiB alone.
         config = small_config(d_model=64, n_heads=4, d_ff=128, max_position=512)
         params = init_params(config)
         batch = random_batch(config, np.random.default_rng(24), b=16, l=512)
-        tracemalloc.start()
-        try:
-            forward(batch, params, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(lambda: forward(batch, params, config))
         assert peak < 64e6, peak / 1e6
+        assert peak < config.n_heads * 512 * 512 * 8, peak / 1e6
 
     def test_forward_peak_memory_keeps_no_layer_caches(self):
         config = small_config(n_heads=4, max_position=256)
@@ -507,12 +516,7 @@ class TestKernels:
         b, l = 4, 256
         batch = random_batch(config, np.random.default_rng(22), b=b, l=l)
         one_weights = b * config.n_heads * l * l * 8
-        tracemalloc.start()
-        try:
-            forward(batch, params, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(lambda: forward(batch, params, config))
         assert peak < 4 * one_weights, peak / one_weights
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -551,6 +555,46 @@ class TestKernels:
         assert step_loss == want_loss
         for name in params:
             assert params[name].tobytes() == want_params[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mask", ["padded", "constrained"])
+    def test_head_groups_equal_one_block_bitwise(self, mask, dtype, monkeypatch):
+        # A budget of one head's (L, L) block forces one-row chunks and head
+        # groups of one in ``forward``; an unbounded one, like the default at
+        # this shape, keeps the batch in one chunk and every head in one block.
+        config = small_config(
+            d_model=64, n_heads=4, d_ff=128, max_position=96, dtype=dtype
+        )
+        l = 96
+        lengths = (96, 50, 96, 7) if mask == "padded" else (l,) * 4
+        batch = self.long_batch(
+            config, np.random.default_rng(30),
+            "constrained" if mask == "constrained" else "template", lengths,
+        )
+        params = init_params(config)
+        groups = []
+        real_groups = enc._head_groups
+
+        def spy_groups(*args):
+            out = real_groups(*args)
+            groups.append(out[0].stop)
+            return out
+
+        monkeypatch.setattr(enc, "_head_groups", spy_groups)
+
+        def run(score_bytes):
+            monkeypatch.setattr(enc, "ATTN_CHUNK_BYTES", score_bytes)
+            groups.clear()
+            with blas_threads(1):
+                probs = forward(batch, params, config)
+            return probs, set(groups)
+
+        probs, sizes = run(2**40)
+        assert sizes == {config.n_heads}
+        itemsize = np.dtype(config.np_dtype).itemsize
+        want_probs, sizes = run(l * l * itemsize)
+        assert 1 in sizes
+        assert probs.tobytes() == want_probs.tobytes()
 
 
 class TestLoss:
