@@ -128,21 +128,39 @@ def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Padded model input. [PAD] rows and columns of ``visible`` are False.
+    """Padded model input: row i's first ``lengths[i]`` tokens are real, the
+    rest [PAD].
 
-    ``visible`` is bool, one byte a cell: 4.2 MB at (16, 512), where the
-    model's float64 would take 33.5 MB. ``_mask_bias`` turns it into the
-    hidden-state dtype one row chunk at a time. Masks of 0/1 floats work as
-    well and give bit-identical results. Its rows are the query rows and its
-    columns the keys; ``forward`` hands ``_encode`` chunks with the trailing
-    padding rows dropped, so there it is (rows, n, L).
+    ``mask`` is the dense visibility, rows the query rows and columns the
+    keys, [PAD] rows and columns False: bool, or 0/1 floats, which give
+    bit-identical results. It is None when every row is fully visible
+    within its length, as ``from_sequences`` builds template batches; then
+    no (B, L, L) array exists (4.2 MB of bool at (16, 512)), and
+    ``_mask_bias`` masks the padding keys alone. ``visible`` reads either
+    as a dense mask.
+
+    ``forward`` hands ``_encode`` chunks with the trailing padding rows
+    dropped: (rows, n) tokens against ``keys`` = L key columns. A batch
+    built with a dense mask and no ``lengths`` takes each row's length as
+    one past its last token that sees or is seen by any token.
     """
 
-    token_ids: np.ndarray      # (B, L) int64
-    soft_positions: np.ndarray  # (B, L) int64
-    segments: np.ndarray       # (B, L) int64
-    visible: np.ndarray        # (B, L, L) bool
+    token_ids: np.ndarray      # (B, n) int64
+    soft_positions: np.ndarray  # (B, n) int64
+    segments: np.ndarray       # (B, n) int64
+    mask: np.ndarray | None    # (B, n, L) bool or 0/1 float; None: see above
     labels: np.ndarray | None  # (B,) int64; None in forward's row chunks
+    lengths: np.ndarray | None = None  # (B,) int64
+    keys: int | None = None            # L; the mask's or tokens' width if None
+
+    def __post_init__(self) -> None:
+        if self.keys is None:
+            width = self.token_ids if self.mask is None else self.mask
+            object.__setattr__(self, "keys", width.shape[-1])
+        if self.lengths is None:
+            used = self.mask.any(axis=1) | self.mask.any(axis=2)
+            lengths = (used * np.arange(1, used.shape[1] + 1)).max(axis=1)
+            object.__setattr__(self, "lengths", lengths)
 
     @classmethod
     def from_sequences(
@@ -153,30 +171,47 @@ class Batch:
     ) -> "Batch":
         """Pad (tokens, soft_positions, segments, visible-or-None, label)
         tuples into one batch. ``visible=None`` means fully visible; every
-        tuple needs its int label.
+        tuple needs its int label. Each row's length is its token count, and
+        a dense mask is built only when some tuple brings one.
 
         ``dtype`` is ignored: the mask is bool whatever the model dtype. The
         keyword stays because callers written when the mask took the model
         dtype still pass it."""
         b = len(seqs)
-        max_len = max(len(s[0]) for s in seqs)
+        lengths = [len(s[0]) for s in seqs]
+        max_len = max(lengths)
         ids = np.full((b, max_len), pad_id, dtype=np.int64)
         soft = np.zeros((b, max_len), dtype=np.int64)
         seg = np.zeros((b, max_len), dtype=np.int64)
-        vis = np.zeros((b, max_len, max_len), dtype=bool)
+        vis = None
+        if any(s[3] is not None for s in seqs):
+            vis = np.zeros((b, max_len, max_len), dtype=bool)
         labels = np.zeros(b, dtype=np.int64)
         for i, (tokens, soft_pos, segments, visible, label) in enumerate(seqs):
             n = len(tokens)
             ids[i, :n] = tokens
             soft[i, :n] = soft_pos if soft_pos is not None else np.arange(n)
             seg[i, :n] = segments
-            vis[i, :n, :n] = True if visible is None else visible
+            if vis is not None:
+                vis[i, :n, :n] = True if visible is None else visible
             labels[i] = label
-        return cls(ids, soft, seg, vis, labels)
+        return cls(ids, soft, seg, vis, labels, np.array(lengths, dtype=np.int64))
 
     @property
     def size(self) -> int:
         return self.token_ids.shape[0]
+
+    @property
+    def visible(self) -> np.ndarray:
+        """The dense (B, n, L) mask: ``mask``, or for a mask-free batch a
+        bool one built on each read, where row i's first ``lengths[i]``
+        tokens see each other. The encoder never reads it."""
+        if self.mask is not None:
+            return self.mask
+        real = self.lengths[:, None]
+        queries = np.arange(self.token_ids.shape[1]) < real
+        keys = np.arange(self.keys) < real
+        return queries[:, :, None] & keys[:, None, :]
 
 
 class Workspace:
@@ -338,10 +373,25 @@ def _embed_cache(batch, params, config, ws):
     )
 
 
-def _mask_bias(visible, dtype, ws):
-    """Additive attention bias (B, 1, Lq, L) in ``dtype``: 0 where visible,
-    MASK_VALUE where not. None when every cell is visible: a bias of zeros
-    changes no score, so the walk skips it."""
+def _mask_bias(batch, dtype, ws):
+    """Additive attention bias of a batch or row chunk, in ``dtype``: 0 where
+    a query sees a key, MASK_VALUE where not. None when nothing is masked: a
+    bias of zeros changes no score, so the walk skips it.
+
+    A dense ``mask`` gives (B, 1, n, L). A mask-free batch gives a key-only
+    (B, 1, 1, L) bias from ``lengths``. Its real query rows get the values a
+    dense mask would give them; its padding query rows attend to the real
+    keys instead of to nothing, and nothing reads them: every layer masks
+    them as keys, the last layer queries [CLS] alone, ``forward`` drops
+    them, and the gradients that reach them are zeros."""
+    visible = batch.mask
+    if visible is None:
+        visible = (np.arange(batch.keys) < batch.lengths[:, None])[:, None]
+    return _visible_bias(visible, dtype, ws)
+
+
+def _visible_bias(visible, dtype, ws):
+    """``_mask_bias`` of a (B, Lq, L) mask: (B, 1, Lq, L), or None."""
     if visible.all():
         return None
     bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, dtype))
@@ -366,10 +416,11 @@ def _attention_block(
 ):
     """One attention sub-block: projections, masked softmax, residual, LN.
 
-    ``bias`` is ``_mask_bias(visible)``, built once per forward pass (once
-    per row chunk in ``forward``); None means every cell is visible, and
-    then the keys are ``x``'s rows. ``attn_dropout_mask`` is a full
-    (B, H, L, L) mask. With ``cls_only`` only row 0 ([CLS]) queries: K and V
+    ``bias`` is ``_mask_bias(batch)``, built once per forward pass (once
+    per row chunk in ``forward``), and broadcasts over the heads and, when
+    key-only, the queries; None means every cell is visible, and then the
+    keys are ``x``'s rows. ``attn_dropout_mask`` is (B, H, lq, L), lq as
+    below. With ``cls_only`` only row 0 ([CLS]) queries: K and V
     are still projected for every row, but the scores are (B, H, 1, L) and
     the output is (B, 1, d). The arrays go into ``ws`` under ``slot``, which
     defaults to the layer's ``prefix``: training keeps each layer's arrays
@@ -405,8 +456,6 @@ def _attention_block(
     for name, out in (("k", k), ("v", v)):
         _linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"], out[:, :n])
         out[:, n:] = 0.0
-    if attn_dropout_mask is not None:
-        attn_dropout_mask = attn_dropout_mask[:, :, :lq]
     # The heads' contexts are written straight into merged (B, lq, d) layout.
     ctx = ws.get(f"{slot}.ctx", xq.shape, x.dtype)
     qh, kh, vh, ctxh = (_split_heads(a, h) for a in (q, k, v, ctx))
@@ -443,7 +492,7 @@ def _attention_block(
 def _one_attention(hidden, visible, params, config, layer):
     """(output, cache) of one layer's attention block, in a fresh workspace."""
     ws = Workspace()
-    bias = _mask_bias(visible, hidden.dtype, ws)
+    bias = _visible_bias(visible, hidden.dtype, ws)
     return _attention_block(hidden, bias, params, f"l{layer}", config, ws)
 
 
@@ -495,15 +544,23 @@ def _classify(h_cls, params):
     return probs
 
 
-def _dropout_mask(rng, rate, ws, name, shape, dtype):
+def _dropout_mask(rng, rate, ws, name, shape, dtype, rows=None):
     """Inverted-dropout mask into ``ws[name]``: 1/keep where a uniform draw
     is below keep = 1 - rate, else 0. None (no dropout) without a rng or at
-    rate 0."""
+    rate 0.
+
+    The uniforms are drawn one batch row at a time into a float64 scratch of
+    ``shape[1:]``, which takes the same stream as one draw of ``shape``.
+    With ``rows``, the mask keeps only the first ``rows`` of each row's
+    second-to-last axis: (B, H, rows, L) of a (B, H, L, L) draw."""
     if rng is None or not rate > 0.0:
         return None
     keep = 1.0 - rate
-    out = ws.get(name, shape, dtype)
-    np.less(rng.random(out=ws.get("rand", shape, np.float64)), keep, out=out)
+    rand = ws.get("rand", shape[1:], np.float64)
+    out = ws.get(name, shape[:-2] + (rows or shape[-2], shape[-1]), dtype)
+    for row in out:
+        rng.random(out=rand)
+        np.less(rand[..., : out.shape[-2], :], keep, out=row)
     out /= keep
     return out
 
@@ -516,24 +573,27 @@ def _encode(batch, params, config, ws, dropout_rng=None, slot=None, score_bytes=
 
     Only the [CLS] state feeds the classifier, so the last layer computes
     row 0 alone and the states are (B, 1, d); they are the embedding's
-    (B, L, d) when there are no layers. Each layer still draws a full
-    (B, H, L, L) dropout mask, so the rng stream does not depend on that."""
+    (B, L, d) when there are no layers. Each layer still draws uniforms for
+    a full (B, H, L, L) dropout mask, so the rng stream does not depend on
+    that, but the last layer keeps the (B, H, 1, L) it reads."""
     rate = config.dropout_rate
     x, emb_ln_cache = _embed_cache(batch, params, config, ws)
     emb_mask = _dropout_mask(dropout_rng, rate, ws, "emb_drop", x.shape, x.dtype)
     if emb_mask is not None:
         x *= emb_mask
 
-    bias = _mask_bias(batch.visible, x.dtype, ws)
+    bias = _mask_bias(batch, x.dtype, ws)
     b, l = batch.token_ids.shape
     layer_caches = []
     for i in range(config.n_layers):
+        cls_only = i == config.n_layers - 1
         attn_mask = _dropout_mask(
-            dropout_rng, rate, ws, f"l{i}.drop", (b, config.n_heads, l, l), x.dtype
+            dropout_rng, rate, ws, f"l{i}.drop", (b, config.n_heads, l, l), x.dtype,
+            rows=1 if cls_only else None,
         )
         x, attn_cache = _attention_block(
             x, bias, params, f"l{i}", config, ws, attn_mask, slot,
-            cls_only=i == config.n_layers - 1, score_bytes=score_bytes,
+            cls_only=cls_only, score_bytes=score_bytes,
         )
         x, ffn_cache = _ffn_block(x, params, f"l{i}", ws, slot)
         layer_caches.append((attn_cache, ffn_cache))
@@ -554,9 +614,9 @@ def forward(
     the returned caches hold the last group's scores only; this walk is
     forward-only. Pairs never attend across rows, so this is exact.
 
-    A chunk's hidden layers run on its first n rows only, where n counts up
-    to its last token that sees or is seen by any token, rounded up to a
-    multiple of ``QUERY_ROW_MULTIPLE`` and capped at L: the embedding,
+    A chunk's hidden layers run on its first n rows only, where n is its
+    longest row's ``lengths`` entry, rounded up to a multiple of
+    ``QUERY_ROW_MULTIPLE`` and capped at L: the embedding,
     projections, (rows, H, n, L) scores, softmax, context, LN1, FFN and LN2
     skip the padding after it. K and V keep all L rows, zero past n (see
     ``_attention_block``), and the padding keys have weight exactly 0 in
@@ -573,13 +633,12 @@ def forward(
     h_cls = np.empty((b, config.d_model), dtype=config.np_dtype)
     for start in range(0, b, rows):
         part = slice(start, start + rows)
-        visible = batch.visible[part]
-        used = np.flatnonzero(visible.any(axis=(0, 1)) | visible.any(axis=(0, 2)))
-        n = int(used[-1]) + 1 if used.size else 1
+        n = max(1, int(batch.lengths[part].max()))
         n = min(l, -(-n // QUERY_ROW_MULTIPLE) * QUERY_ROW_MULTIPLE)
+        mask = None if batch.mask is None else batch.mask[part, :n]
         chunk = Batch(
             batch.token_ids[part, :n], batch.soft_positions[part, :n],
-            batch.segments[part, :n], visible[:, :n], None,
+            batch.segments[part, :n], mask, None, batch.lengths[part], l,
         )
         # One slot for all layers: each block reads the other block's output.
         x, _ = _encode(chunk, params, config, ws, slot="layer", score_bytes=ATTN_CHUNK_BYTES)

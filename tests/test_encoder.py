@@ -45,6 +45,16 @@ def random_batch(config, rng, b=3, l=8, visible=None, labels=None):
     return Batch(ids, soft, seg, vis, lab)
 
 
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def whole_batch_probs(batch, params, config):
     """The training walk's probabilities: ``_encode`` on the whole batch with
     a slot per layer, classified as ``loss_and_gradients`` does."""
@@ -226,8 +236,10 @@ class TestForward:
             forward(batch, params, config)
 
 
-def bias_always(visible, dtype, ws):
-    """``_mask_bias`` that builds the bias even when every cell is visible."""
+def bias_always(batch, dtype, ws):
+    """``_mask_bias`` that builds the bias even when every cell is visible,
+    from the batch's dense mask."""
+    visible = batch.visible
     bias = np.subtract(1.0, visible, out=ws.get("bias", visible.shape, dtype))
     bias *= enc.MASK_VALUE
     return bias[:, None]
@@ -389,7 +401,7 @@ class TestKernels:
         # Reference: every layer, the last one too, over all rows.
         ws = enc.Workspace()
         full, _ = enc._embed_cache(batch, params, config, ws)
-        bias = enc._mask_bias(batch.visible, full.dtype, ws)
+        bias = enc._mask_bias(batch, full.dtype, ws)
         for i in range(n_layers):
             full, _ = enc._attention_block(full, bias, params, f"l{i}", config, ws)
             full, _ = enc._ffn_block(full, params, f"l{i}", ws)
@@ -488,16 +500,6 @@ class TestKernels:
             for entry in (("l0", (rows, 4, trimmed, 512)), ("l1", (rows, 4, 1, 512)))
         ]
 
-    @staticmethod
-    def traced_peak(fn):
-        """Peak bytes that tracemalloc sees while ``fn()`` runs."""
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_forward_peak_memory_bounded_per_chunk(self):
         # The long-cell scoring shape: a whole-batch forward peaks at about
         # 218 MB here (scores and mask bias of all 16 rows), a chunked one
@@ -506,7 +508,7 @@ class TestKernels:
         config = small_config(d_model=64, n_heads=4, d_ff=128, max_position=512)
         params = init_params(config)
         batch = random_batch(config, np.random.default_rng(24), b=16, l=512)
-        peak = self.traced_peak(lambda: forward(batch, params, config))
+        peak = traced_peak(lambda: forward(batch, params, config))
         assert peak < 64e6, peak / 1e6
         assert peak < config.n_heads * 512 * 512 * 8, peak / 1e6
 
@@ -516,8 +518,61 @@ class TestKernels:
         b, l = 4, 256
         batch = random_batch(config, np.random.default_rng(22), b=b, l=l)
         one_weights = b * config.n_heads * l * l * 8
-        peak = self.traced_peak(lambda: forward(batch, params, config))
+        peak = traced_peak(lambda: forward(batch, params, config))
         assert peak < 4 * one_weights, peak / one_weights
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_key_bias_equals_dense_mask_bitwise(self, dtype, dropout):
+        # A mask-free template batch masks its padding keys alone, so its
+        # padding query rows attend to the real keys; no real row reads
+        # them, and the gradients that reach them are zeros of either sign.
+        # At L 200 ``forward`` runs row chunks of 1 (float64) or 3 (float32)
+        # rows, some trimmed below L.
+        config = small_config(
+            d_model=64, n_heads=4, d_ff=128, max_position=200, dtype=dtype,
+            dropout_rate=dropout,
+        )
+        lengths = (200, 50, 96, 7)
+        free = self.long_batch(config, np.random.default_rng(32), "template", lengths)
+        assert free.mask is None
+        dense = Batch(free.token_ids, free.soft_positions, free.segments, free.visible, free.labels)
+        np.testing.assert_array_equal(dense.lengths, lengths)
+        results = []
+        for batch in (free, dense):
+            params = init_params(config)
+            with blas_threads(1):
+                probs = forward(batch, params, config)
+                value, grads = loss_and_gradients(
+                    batch, params, config, np.random.default_rng(5)
+                )
+                _, _, step_loss = train_step(
+                    batch, params, AdamState.init(params), 1e-3, config, dropout_seed=4
+                )
+            results.append((probs, value, grads, step_loss, params))
+        (probs, value, grads, step_loss, params), want = results
+        assert probs.tobytes() == want[0].tobytes()
+        assert value == want[1] and step_loss == want[3]
+        for name in params:
+            assert np.array_equal(grads[name], want[2][name]), name
+            assert params[name].tobytes() == want[4][name].tobytes(), name
+
+    def test_key_bias_saves_the_dense_bias(self):
+        # A padded template batch at (16, 256): its dense mask's float64
+        # (B, 1, L, L) bias alone takes 8.4 MB.
+        config = small_config(n_layers=1, max_position=256)
+        params = init_params(config)
+        rng = np.random.default_rng(33)
+        lengths = [256] + list(rng.integers(1, 256, size=15))
+        free = Batch.from_sequences(
+            [(rng.integers(6, 32, size=n), None, [0] * n, None, 1) for n in lengths], pad_id=5
+        )
+        dense = Batch(free.token_ids, free.soft_positions, free.segments, free.visible, free.labels)
+        peaks = [
+            traced_peak(lambda batch=batch: loss_and_gradients(batch, params, config))
+            for batch in (free, dense)
+        ]
+        assert peaks[1] - peaks[0] >= 8e6, [p / 1e6 for p in peaks]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mask", ["all_visible", "padded", "constrained"])
@@ -534,7 +589,7 @@ class TestKernels:
             config, np.random.default_rng(28),
             "constrained" if mask == "constrained" else "template", lengths,
         )
-        bias = enc._mask_bias(batch.visible, config.np_dtype, enc.Workspace())
+        bias = enc._mask_bias(batch, config.np_dtype, enc.Workspace())
         assert (bias is None) == (mask == "all_visible")
 
         def run():
@@ -801,6 +856,26 @@ class TestTrainStep:
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
 
+    def test_dropout_memory_is_one_layer_mask_and_row_draws(self):
+        # What dropout adds to a step's peak, in (B, H, L, L) float64 blocks:
+        # layer 0's mask and its masked weights, plus a one-row uniforms
+        # scratch, the [CLS] layer's (B, H, 1, L) mask and the embedding's.
+        # A whole-batch draw and a full last-layer mask made it about 4.1.
+        b, l = 8, 128
+        peaks = {}
+        for rate in (0.0, 0.1):
+            config = small_config(
+                d_model=64, n_heads=4, d_ff=128, max_position=l, dropout_rate=rate
+            )
+            params = init_params(config)
+            state = AdamState.init(params)
+            batch = random_batch(config, np.random.default_rng(19), b=b, l=l)
+            peaks[rate] = traced_peak(
+                lambda: train_step(batch, params, state, 1e-3, config, dropout_seed=1)
+            )
+        block = b * config.n_heads * l * l * 8
+        assert peaks[0.1] - peaks[0.0] < 2.5 * block, (peaks[0.1] - peaks[0.0]) / block
+
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_dropout_draws_full_attention_masks(self, n_layers):
         config = small_config(n_layers=n_layers, dropout_rate=0.1)
@@ -1004,6 +1079,21 @@ class TestBatch:
         assert batch.visible.nbytes == 2 * 3 * 3
         np.testing.assert_array_equal(batch.visible[0], visible == 1)
         assert batch.visible[1].sum() == 4
+
+    def test_template_batch_holds_no_dense_mask(self):
+        # A (16, 512, 512) bool mask would take 4.2 MB.
+        lengths = [512] + list(np.random.default_rng(34).integers(1, 512, size=15))
+        seqs = [(list(range(n)), None, [0] * n, None, 1) for n in lengths]
+        batch = None
+
+        def build():
+            nonlocal batch
+            batch = Batch.from_sequences(seqs, pad_id=5)
+
+        peak = traced_peak(build)
+        assert peak < 0.5e6, peak / 1e6
+        assert batch.mask is None
+        np.testing.assert_array_equal(batch.lengths, lengths)
 
     def test_long_cells_batch_memory(self):
         # A (16, 512, 512) float64 mask alone took 33.5 MB; the bool one is 4.2 MB.
