@@ -419,8 +419,8 @@ def _attention_block(
     ``bias`` is ``_mask_bias(batch)``, built once per forward pass (once
     per row chunk in ``forward``), and broadcasts over the heads and, when
     key-only, the queries; None means every cell is visible, and then the
-    keys are ``x``'s rows. ``attn_dropout_mask`` is (B, H, lq, L), lq as
-    below. With ``cls_only`` only row 0 ([CLS]) queries: K and V
+    keys are ``x``'s rows. ``attn_dropout_mask`` is a full (B, H, L, L)
+    mask. With ``cls_only`` only row 0 ([CLS]) queries: K and V
     are still projected for every row, but the scores are (B, H, 1, L) and
     the output is (B, 1, d). The arrays go into ``ws`` under ``slot``, which
     defaults to the layer's ``prefix``: training keeps each layer's arrays
@@ -456,6 +456,8 @@ def _attention_block(
     for name, out in (("k", k), ("v", v)):
         _linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"], out[:, :n])
         out[:, n:] = 0.0
+    if attn_dropout_mask is not None:
+        attn_dropout_mask = attn_dropout_mask[:, :, :lq]
     # The heads' contexts are written straight into merged (B, lq, d) layout.
     ctx = ws.get(f"{slot}.ctx", xq.shape, x.dtype)
     qh, kh, vh, ctxh = (_split_heads(a, h) for a in (q, k, v, ctx))
@@ -544,23 +546,15 @@ def _classify(h_cls, params):
     return probs
 
 
-def _dropout_mask(rng, rate, ws, name, shape, dtype, rows=None):
+def _dropout_mask(rng, rate, ws, name, shape, dtype):
     """Inverted-dropout mask into ``ws[name]``: 1/keep where a uniform draw
     is below keep = 1 - rate, else 0. None (no dropout) without a rng or at
-    rate 0.
-
-    The uniforms are drawn one batch row at a time into a float64 scratch of
-    ``shape[1:]``, which takes the same stream as one draw of ``shape``.
-    With ``rows``, the mask keeps only the first ``rows`` of each row's
-    second-to-last axis: (B, H, rows, L) of a (B, H, L, L) draw."""
+    rate 0."""
     if rng is None or not rate > 0.0:
         return None
     keep = 1.0 - rate
-    rand = ws.get("rand", shape[1:], np.float64)
-    out = ws.get(name, shape[:-2] + (rows or shape[-2], shape[-1]), dtype)
-    for row in out:
-        rng.random(out=rand)
-        np.less(rand[..., : out.shape[-2], :], keep, out=row)
+    out = ws.get(name, shape, dtype)
+    np.less(rng.random(out=ws.get("rand", shape, np.float64)), keep, out=out)
     out /= keep
     return out
 
@@ -573,9 +567,8 @@ def _encode(batch, params, config, ws, dropout_rng=None, slot=None, score_bytes=
 
     Only the [CLS] state feeds the classifier, so the last layer computes
     row 0 alone and the states are (B, 1, d); they are the embedding's
-    (B, L, d) when there are no layers. Each layer still draws uniforms for
-    a full (B, H, L, L) dropout mask, so the rng stream does not depend on
-    that, but the last layer keeps the (B, H, 1, L) it reads."""
+    (B, L, d) when there are no layers. Each layer still draws a full
+    (B, H, L, L) dropout mask, so the rng stream does not depend on that."""
     rate = config.dropout_rate
     x, emb_ln_cache = _embed_cache(batch, params, config, ws)
     emb_mask = _dropout_mask(dropout_rng, rate, ws, "emb_drop", x.shape, x.dtype)
@@ -586,14 +579,12 @@ def _encode(batch, params, config, ws, dropout_rng=None, slot=None, score_bytes=
     b, l = batch.token_ids.shape
     layer_caches = []
     for i in range(config.n_layers):
-        cls_only = i == config.n_layers - 1
         attn_mask = _dropout_mask(
-            dropout_rng, rate, ws, f"l{i}.drop", (b, config.n_heads, l, l), x.dtype,
-            rows=1 if cls_only else None,
+            dropout_rng, rate, ws, f"l{i}.drop", (b, config.n_heads, l, l), x.dtype
         )
         x, attn_cache = _attention_block(
             x, bias, params, f"l{i}", config, ws, attn_mask, slot,
-            cls_only=cls_only, score_bytes=score_bytes,
+            cls_only=i == config.n_layers - 1, score_bytes=score_bytes,
         )
         x, ffn_cache = _ffn_block(x, params, f"l{i}", ws, slot)
         layer_caches.append((attn_cache, ffn_cache))

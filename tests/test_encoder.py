@@ -856,26 +856,6 @@ class TestTrainStep:
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
 
-    def test_dropout_memory_is_one_layer_mask_and_row_draws(self):
-        # What dropout adds to a step's peak, in (B, H, L, L) float64 blocks:
-        # layer 0's mask and its masked weights, plus a one-row uniforms
-        # scratch, the [CLS] layer's (B, H, 1, L) mask and the embedding's.
-        # A whole-batch draw and a full last-layer mask made it about 4.1.
-        b, l = 8, 128
-        peaks = {}
-        for rate in (0.0, 0.1):
-            config = small_config(
-                d_model=64, n_heads=4, d_ff=128, max_position=l, dropout_rate=rate
-            )
-            params = init_params(config)
-            state = AdamState.init(params)
-            batch = random_batch(config, np.random.default_rng(19), b=b, l=l)
-            peaks[rate] = traced_peak(
-                lambda: train_step(batch, params, state, 1e-3, config, dropout_seed=1)
-            )
-        block = b * config.n_heads * l * l * 8
-        assert peaks[0.1] - peaks[0.0] < 2.5 * block, (peaks[0.1] - peaks[0.0]) / block
-
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_dropout_draws_full_attention_masks(self, n_layers):
         config = small_config(n_layers=n_layers, dropout_rate=0.1)
