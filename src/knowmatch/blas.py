@@ -7,8 +7,8 @@ busy process beside it, evaluating 16 pairs at L 512 on two threads took
 1.46 times the calling thread's CPU seconds that it took alone; on one
 thread it took no more. The bytes of a checkpoint depended on the count
 too: at batch 16 OpenBLAS summed some products in another order on two
-threads than on one. So ``harness`` runs training and evaluation on
-``RunConfig.threads`` (1) BLAS threads, whatever the environment sets.
+threads than on one. So ``harness`` runs training and evaluation on one
+BLAS thread through ``blas_threads(1)``, whatever the environment sets.
 
 The library is found among the shared objects this process has mapped, so
 no package is needed. Where there is no OpenBLAS (or no ``/proc``),

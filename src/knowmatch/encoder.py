@@ -787,17 +787,17 @@ def train_step(
     state: AdamState,
     lr: float,
     config: EncoderConfig,
-    dropout_seed: int | None = None,
     ws: Workspace | None = None,
-) -> tuple[dict[str, np.ndarray], AdamState, float]:
-    """One Adam update: returns (params, state, loss), with the arrays of
-    ``params`` and of ``state.m`` and ``state.v`` updated in place. On
-    non-finite gradients it raises before touching any of them. ``ws`` holds
-    the step's temporaries; a run passes the same one to every step."""
+) -> float:
+    """One Adam update: updates ``params``, ``state.m`` and ``state.v`` in
+    place, advances ``state.step`` and returns the loss. On non-finite
+    gradients it raises before touching any of them. Dropout draws from a
+    stream seeded by ``config.seed`` and the step. ``ws`` holds the step's
+    temporaries; a run passes the same one to every step."""
     ws = ws or Workspace()
     rng = None
     if config.dropout_rate > 0.0:
-        rng = np.random.default_rng(dropout_seed if dropout_seed is not None else 0)
+        rng = np.random.default_rng(config.seed * 1_000_003 + state.step)
     loss_value, grads = loss_and_gradients(batch, params, config, dropout_rng=rng, ws=ws)
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -825,7 +825,8 @@ def train_step(
         s += ADAM_EPS
         u /= s
         p -= u
-    return params, AdamState(step=t, m=state.m, v=state.v), loss_value
+    state.step = t
+    return loss_value
 
 
 def save_checkpoint(

@@ -414,19 +414,7 @@ def _load_prepared(
     return seqs
 
 
-def _on_config_threads(phase):
-    """Run ``phase(config, ...)`` on ``config.threads`` BLAS threads (see
-    ``knowmatch.blas``)."""
-
-    @functools.wraps(phase)
-    def pinned(config: RunConfig, *args, **kwargs):
-        with blas_threads(config.threads):
-            return phase(config, *args, **kwargs)
-
-    return pinned
-
-
-@_on_config_threads
+@blas_threads(1)
 def run_train(config: RunConfig) -> dict:
     """Train on the prepared train split; writes checkpoint and loss log."""
     out_dir = Path(config.out_dir)
@@ -450,16 +438,13 @@ def run_train(config: RunConfig) -> dict:
     )
     log_path = out_dir / "loss_log.jsonl"
     loss_value = None
-    step = 0
     with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(config.epochs):
             order = rng.permutation(len(seqs)).tolist()
             for batch in _batches_of(seqs, order, config.batch_size):
+                step = state.step
                 try:
-                    _, state, loss_value = train_step(
-                        batch, params, state, config.lr, enc_config,
-                        dropout_seed=config.seed * 1_000_003 + step, ws=ws,
-                    )
+                    loss_value = train_step(batch, params, state, config.lr, enc_config, ws)
                 except NumericalError:  # raised before params changed
                     save()
                     raise
@@ -470,17 +455,16 @@ def run_train(config: RunConfig) -> dict:
                     )
                     + "\n"
                 )
-                step += 1
     save()
     return {
         "checkpoint": str(checkpoint_path),
         "loss_log": str(log_path),
-        "steps": step,
+        "steps": state.step,
         "final_loss": loss_value,
     }
 
 
-@_on_config_threads
+@blas_threads(1)
 def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None) -> Metrics:
     """Evaluate the trained checkpoint on one prepared split (0.5 threshold)."""
     out_dir = Path(config.out_dir)

@@ -241,28 +241,15 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
 
     Each dropped token is the last value token left on the side that is
     longer at that moment (ties: left), or on the other side once that side
-    has no value tokens left. Sites whose head loses a token are dropped;
-    the others shift left by the number of tokens dropped before them. The
-    cut takes a step per marker, run and site, not per token dropped.
+    has no value tokens left. Each side is cut on its own (``_cut``), and
+    the sides' sites shift once, when they are joined. The cut takes a step
+    per marker, run and site, not per token dropped.
     """
-    tokens = [CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID]
-    sites = [
-        Branch((s.head[0] + 1, s.head[1] + 1), s.knowledge, s.kind)
-        for s in left.sites
-    ]
-    right_base = 1 + len(left.tokens) + 1
-    sites += [
-        Branch((s.head[0] + right_base, s.head[1] + right_base), s.knowledge, s.kind)
-        for s in right.sites
-    ]
-
-    excess = len(tokens) - max_len
-    n_left = len(left.tokens)
+    excess = len(left.tokens) + len(right.tokens) + 3 - max_len
     if excess > 0:
-        left_runs = _value_runs(tokens, 1, right_base - 1)
-        right_runs = _value_runs(tokens, right_base, len(tokens) - 1)
+        left_runs, right_runs = _value_runs(left.tokens), _value_runs(right.tokens)
         from_left, from_right = _drop_counts(
-            n_left, len(right.tokens),
+            len(left.tokens), len(right.tokens),
             sum(end - start for start, end in left_runs),
             sum(end - start for start, end in right_runs),
             excess,
@@ -271,30 +258,43 @@ def _join_truncated(left: TokenSeq, right: TokenSeq, max_len: int) -> tuple:
             raise SequenceOverflowError(
                 f"pair cannot fit into max_len={max_len} even with all values removed"
             )
-        cut = _tail(left_runs, from_left) + _tail(right_runs, from_right)
-        kept, prev = [], 0
-        for start, end in cut:
-            kept += tokens[prev:start]
-            prev = end
-        tokens = kept + tokens[prev:]
-        cut_starts = [start for start, _ in cut]
-        cut_before = list(accumulate((end - start for start, end in cut), initial=0))
+        left = _cut(left, _tail(left_runs, from_left))
+        right = _cut(right, _tail(right_runs, from_right))
 
-        def dropped_before(i: int) -> int:
-            k = bisect_left(cut_starts, i) - 1
-            return 0 if k < 0 else cut_before[k] + min(i, cut[k][1]) - cut[k][0]
+    n_left, n_right = len(left.tokens), len(right.tokens)
+    tokens = (CLS_ID, *left.tokens, SEP_ID, *right.tokens, SEP_ID)
+    segments = (0,) * (n_left + 2) + (1,) * (n_right + 1)
+    return tokens, segments, _shifted(left.sites, 1) + _shifted(right.sites, n_left + 2)
 
-        kept_sites = []
-        for s in sites:
-            start, end = s.head
-            shift = dropped_before(start)
-            if dropped_before(end) == shift:  # the head lost no token
-                kept_sites.append(Branch((start - shift, end - shift), s.knowledge, s.kind))
-        sites = kept_sites
-        n_left -= from_left
 
-    segments = [0] * (n_left + 2) + [1] * (len(tokens) - n_left - 2)
-    return tuple(tokens), tuple(segments), tuple(sites)
+def _cut(side: TokenSeq, cut: list[tuple[int, int]]) -> TokenSeq:
+    """``side`` without the tokens of the [start, end) ranges ``cut`` (in
+    order). Sites whose head loses a token are dropped; the others shift
+    left by the number of tokens cut before them."""
+    tokens, prev = [], 0
+    for start, end in cut:
+        tokens += side.tokens[prev:start]
+        prev = end
+    tokens += side.tokens[prev:]
+    cut_starts = [start for start, _ in cut]
+    cut_before = list(accumulate((end - start for start, end in cut), initial=0))
+
+    def dropped_before(i: int) -> int:
+        k = bisect_left(cut_starts, i) - 1
+        return 0 if k < 0 else cut_before[k] + min(i, cut[k][1]) - cut[k][0]
+
+    sites = []
+    for s in side.sites:
+        start, end = s.head
+        shift = dropped_before(start)
+        if dropped_before(end) == shift:  # the head lost no token
+            sites.append(Branch((start - shift, end - shift), s.knowledge, s.kind))
+    return TokenSeq(tuple(tokens), tuple(sites))
+
+
+def _shifted(sites: tuple[Branch, ...], by: int) -> tuple[Branch, ...]:
+    """``sites`` with their heads moved ``by`` tokens right."""
+    return tuple(Branch((s.head[0] + by, s.head[1] + by), s.knowledge, s.kind) for s in sites)
 
 
 def check_length(seq: InputSequence, max_len: int) -> None:
@@ -305,16 +305,16 @@ def check_length(seq: InputSequence, max_len: int) -> None:
         raise SequenceOverflowError(f"injected length {n} exceeds max_len {max_len}")
 
 
-def _value_runs(tokens: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
-    """The [start, end) runs of value tokens in ``tokens[lo:hi]``: each
+def _value_runs(tokens: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The [start, end) runs of value tokens in one side's ``tokens``: each
     stretch after a [VAL] up to the next [VAL] or [COL]. Found with
-    ``list.index`` per marker, so the cost grows with the markers."""
+    ``tuple.index`` per marker, so the cost grows with the markers."""
     marks = []
     for marker in (VAL_ID, COL_ID):
-        at = lo
+        at = 0
         try:
             while True:
-                at = tokens.index(marker, at, hi)
+                at = tokens.index(marker, at)
                 marks.append(at)
                 at += 1
         except ValueError:
@@ -322,7 +322,7 @@ def _value_runs(tokens: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
     marks.sort()
     return [
         (at + 1, end)
-        for at, end in zip(marks, marks[1:] + [hi])
+        for at, end in zip(marks, marks[1:] + [len(tokens)])
         if tokens[at] == VAL_ID and end > at + 1
     ]
 

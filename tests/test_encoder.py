@@ -546,9 +546,7 @@ class TestKernels:
                 value, grads = loss_and_gradients(
                     batch, params, config, np.random.default_rng(5)
                 )
-                _, _, step_loss = train_step(
-                    batch, params, AdamState.init(params), 1e-3, config, dropout_seed=4
-                )
+                step_loss = train_step(batch, params, AdamState.init(params), 1e-3, config)
             results.append((probs, value, grads, step_loss, params))
         (probs, value, grads, step_loss, params), want = results
         assert probs.tobytes() == want[0].tobytes()
@@ -596,9 +594,7 @@ class TestKernels:
             params = init_params(config)
             with blas_threads(1):
                 probs = forward(batch, params, config)
-                _, _, step_loss = train_step(
-                    batch, params, AdamState.init(params), 1e-3, config, dropout_seed=4
-                )
+                step_loss = train_step(batch, params, AdamState.init(params), 1e-3, config)
             return probs, step_loss, params
 
         probs, step_loss, params = run()
@@ -774,10 +770,10 @@ class TestTrainStep:
         before = {k: v.copy() for k, v in params.items()}
         batch = random_batch(config, np.random.default_rng(13))
         state = AdamState.init(params)
-        new_params, new_state, _ = train_step(batch, params, state, 0.0, config)
+        train_step(batch, params, state, 0.0, config)
         for name in params:
-            np.testing.assert_array_equal(new_params[name], before[name])
-        assert new_state.step == 1
+            np.testing.assert_array_equal(params[name], before[name])
+        assert state.step == 1
 
     def test_deterministic(self):
         config = small_config()
@@ -787,7 +783,7 @@ class TestTrainStep:
             params = init_params(config)
             state = AdamState.init(params)
             for _ in range(3):
-                params, state, _ = train_step(batch, params, state, 1e-3, config)
+                train_step(batch, params, state, 1e-3, config)
             results.append(params)
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
@@ -836,7 +832,7 @@ class TestTrainStep:
         state = AdamState.init(params)
         losses = []
         for _ in range(50):
-            params, state, value = train_step(batch, params, state, 1e-2, config)
+            value = train_step(batch, params, state, 1e-2, config)
             losses.append(value)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
         assert losses[-1] < losses[0]
@@ -848,13 +844,43 @@ class TestTrainStep:
         for _ in range(2):
             params = init_params(config)
             state = AdamState.init(params)
-            params, state, value = train_step(
-                batch, params, state, 1e-3, config, dropout_seed=99
-            )
+            value = train_step(batch, params, state, 1e-3, config)
             outs.append((value, params))
         assert outs[0][0] == outs[1][0]
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
+
+    def test_each_step_draws_its_own_dropout_masks(self, monkeypatch):
+        # The stream is seeded by config.seed and state.step, so two steps
+        # on one state draw different masks, and a failed step keeps the count.
+        config = small_config(dropout_rate=0.1)
+        batch = random_batch(config, np.random.default_rng(19))
+        params = init_params(config)
+        state = AdamState.init(params)
+        real_mask = enc._dropout_mask
+        masks = []
+
+        def spy(*args):
+            out = real_mask(*args)
+            masks.append(out.copy())
+            return out
+
+        monkeypatch.setattr(enc, "_dropout_mask", spy)
+        steps = []
+        for _ in range(2):
+            train_step(batch, params, state, 1e-3, config)
+            steps.append(state.step)
+        assert steps == [1, 2]
+        first, second = masks[: len(masks) // 2], masks[len(masks) // 2 :]
+        assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+
+        def bad_grads(*args, **kwargs):
+            return 1.0, {k: np.full_like(v, np.nan) for k, v in params.items()}
+
+        monkeypatch.setattr(enc, "loss_and_gradients", bad_grads)
+        with pytest.raises(NumericalError):
+            train_step(batch, params, state, 1e-3, config)
+        assert state.step == 2
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_dropout_draws_full_attention_masks(self, n_layers):
@@ -904,10 +930,8 @@ class TestWorkspace:
             params = init_params(config)
             state = AdamState.init(params)
             losses = []
-            for step, batch in enumerate(self.batches(config, 31)):
-                params, state, value = train_step(
-                    batch, params, state, 1e-3, config, dropout_seed=step, ws=ws
-                )
+            for batch in self.batches(config, 31):
+                value = train_step(batch, params, state, 1e-3, config, ws)
                 losses.append(value)
             results.append((losses, params))
         assert results[0][0] == results[1][0]
@@ -937,7 +961,7 @@ class TestWorkspace:
         state = AdamState.init(params)
         batch = self.batches(config, 32)[0]
         ws = enc.Workspace()
-        params, state, _ = train_step(batch, params, state, 1e-3, config, ws=ws)
+        train_step(batch, params, state, 1e-3, config, ws=ws)
         tracemalloc.start()
         try:
             train_step(batch, params, state, 1e-3, config, ws=ws)
@@ -1105,9 +1129,7 @@ class TestBatch:
             probs = forward(batch, params, config)
             value, grads = loss_and_gradients(batch, params, config)
             attended = masked_attention(hidden, mask, params, config)
-            _, _, step_loss = train_step(
-                batch, params, AdamState.init(params), 1e-3, config, dropout_seed=3
-            )
+            step_loss = train_step(batch, params, AdamState.init(params), 1e-3, config)
             results.append((probs, value, grads, attended, step_loss, params))
         (probs, value, grads, attended, step_loss, params), other = results
         np.testing.assert_array_equal(probs, other[0])

@@ -897,6 +897,27 @@ class TestTrainEvaluate:
             blobs.append(Path(result["checkpoint"]).read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_dropout_stream_is_seeded_by_run_seed_and_step(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        config = desk_config(small_dataset, tmp_path / "out", dropout=0.1, seed=5)
+        run_prepare(config)
+        seeds = []
+        real_rng = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        result = run_train(config)
+        steps = result["steps"]
+        assert steps > 1
+        # The initial weights, the harness's order, then one stream per step.
+        assert seeds == [5, 5] + [5 * 1_000_003 + k for k in range(steps)]
+        log = (tmp_path / "out" / "loss_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["step"] for line in log] == list(range(steps))
+
     def test_vocab_hash_mismatch_rejected(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out")
         run_prepare(config)
