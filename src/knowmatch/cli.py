@@ -16,6 +16,7 @@ from dataclasses import fields
 
 from .errors import KnowmatchError, NumericalError
 from .harness import (
+    PROFILES,
     RunConfig,
     build_annotations,
     compare,
@@ -64,7 +65,7 @@ def _field_values(args: argparse.Namespace, cls) -> dict:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--profile", choices=("full", "desk"), help="preset overrides")
+    parser.add_argument("--profile", choices=tuple(PROFILES), help="preset overrides")
     _add_field_flags(parser, RunConfig)
 
 
@@ -90,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, help="config file for model A")
     p.add_argument("--b", required=True, help="config file for model B")
     p.add_argument("--split", default="test")
-    p.add_argument("--profile", choices=("full", "desk"), default=None)
+    p.add_argument("--profile", choices=tuple(PROFILES), default=None)
 
     p = sub.add_parser("synth")
     p.add_argument("--out", required=True)
@@ -105,14 +106,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ditto_mode", default="off")
 
     return parser
-
-
-def _cmd_annotate(args: argparse.Namespace) -> int:
-    tables = load_tables(args.data_dir)
-    store = build_annotations(tables, args.rule_typer, args.gazetteer, None, args.ditto_mode)
-    export_annotations(store, args.out)
-    print(json.dumps(store.counts(), sort_keys=True))
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,7 +151,12 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
         elif args.command == "annotate":
-            return _cmd_annotate(args)
+            tables = load_tables(args.data_dir)
+            store = build_annotations(
+                tables, args.rule_typer, args.gazetteer, None, args.ditto_mode
+            )
+            export_annotations(store, args.out)
+            print(json.dumps(store.counts(), sort_keys=True))
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -68,6 +68,8 @@ class EncoderConfig:
             raise DomainError(f"n_layers must be >= 0, got {self.n_layers}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DomainError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        # One form in a checkpoint header: a rate of 0 is written as 0.0.
+        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))
         if self.d_model % self.n_heads != 0:
             raise DomainError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -140,9 +142,9 @@ class Batch:
     as a dense mask.
 
     ``forward`` hands ``_encode`` chunks with the trailing padding rows
-    dropped: (rows, n) tokens against ``keys`` = L key columns. A batch
-    built with a dense mask and no ``lengths`` takes each row's length as
-    one past its last token that sees or is seen by any token.
+    dropped: (rows, n) tokens against ``keys`` = L key columns. Without
+    ``lengths`` a row's length is the full width, or with a mask one past
+    its last token that sees or is seen by any token.
     """
 
     token_ids: np.ndarray      # (B, n) int64
@@ -158,8 +160,11 @@ class Batch:
             width = self.token_ids if self.mask is None else self.mask
             object.__setattr__(self, "keys", width.shape[-1])
         if self.lengths is None:
-            used = self.mask.any(axis=1) | self.mask.any(axis=2)
-            lengths = (used * np.arange(1, used.shape[1] + 1)).max(axis=1)
+            if self.mask is None:
+                lengths = np.full(self.size, self.token_ids.shape[1], dtype=np.int64)
+            else:
+                used = self.mask.any(axis=1) | self.mask.any(axis=2)
+                lengths = (used * np.arange(1, used.shape[1] + 1)).max(axis=1)
             object.__setattr__(self, "lengths", lengths)
 
     @classmethod
@@ -347,14 +352,17 @@ def embed(batch: Batch, params: dict, config: EncoderConfig) -> np.ndarray:
     return out
 
 
+def _lookups(batch, config):
+    """The (table, index) pairs that the embedding sums, in summation order."""
+    segments = [("seg_emb", batch.segments)] if config.use_segments else []
+    return [("tok_emb", batch.token_ids), ("pos_emb", batch.soft_positions), *segments]
+
+
 def _embed_cache(batch, params, config, ws):
-    lookups = [("tok_emb", batch.token_ids), ("pos_emb", batch.soft_positions)]
-    if config.use_segments:
-        lookups.append(("seg_emb", batch.segments))
     shape = batch.token_ids.shape + (config.d_model,)
     dtype = params["tok_emb"].dtype
     total = ws.get("emb_ln", shape, dtype)
-    for i, (name, index) in enumerate(lookups):
+    for i, (name, index) in enumerate(_lookups(batch, config)):
         n = len(params[name])
         if index.size and not 0 <= index.min() <= index.max() < n:
             raise DomainError(
@@ -710,10 +718,8 @@ def loss_and_gradients(
     dsum, dg, dbv = _layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"], ws)
     grads["emb_ln_g"] = dg
     grads["emb_ln_b"] = dbv
-    np.add.at(grads["tok_emb"], batch.token_ids, dsum)
-    np.add.at(grads["pos_emb"], batch.soft_positions, dsum)
-    if config.use_segments:
-        np.add.at(grads["seg_emb"], batch.segments, dsum)
+    for name, index in _lookups(batch, config):
+        np.add.at(grads[name], index, dsum)
 
     return loss_value, grads
 

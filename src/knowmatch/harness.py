@@ -58,13 +58,14 @@ from .serializer import (
 )
 from .stats import paired_ttest
 from .tabular import SPLITS, Table, json_object, load_pairs, load_table, write_json_lines
-from .text import PAD_ID, Tokenizer, tokenize, tokenize_once
+from .text import CLS_ID, PAD_ID, Tokenizer, tokenize, tokenize_once
 
 SEED_ENV_VAR = "KAER_SEED"
 
 # Shipped full-scale defaults; the desk profile overrides them for the toy
 # encoder, where they are impractical.
 DESK_PROFILE = {"batch_size": 16, "epochs": 10, "lr": 1e-3, "max_len": 128}
+PROFILES = {"full": {}, "desk": DESK_PROFILE}
 
 
 def _has_type(value, annotation: str) -> bool:
@@ -149,27 +150,20 @@ def resolve_config(
 ) -> RunConfig:
     """Merge config sources: defaults < profile < file < KAER_SEED env < flags."""
     env = os.environ if env is None else env
-    values: dict = {}
-    if profile == "desk":
-        values.update(DESK_PROFILE)
-    elif profile not in (None, "full"):
+    if profile not in (None, *PROFILES):
         raise DomainError(f"unknown profile {profile!r}")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    values = {**PROFILES[profile or "full"], **(file_values or {})}
     known = {f.name for f in fields(RunConfig)}
-    for key, val in (file_values or {}).items():
+    for key in [*values, *overrides]:
         if key not in known:
             raise FormatError(f"unknown config key {key!r}")
-        values[key] = val
     if SEED_ENV_VAR in env:
         try:
             values["seed"] = int(env[SEED_ENV_VAR])
         except ValueError as exc:
             raise FormatError(f"{SEED_ENV_VAR} must be an integer") from exc
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in known:
-            raise FormatError(f"unknown config key {key!r}")
-        values[key] = val
+    values.update(overrides)
     return RunConfig(**values)
 
 
@@ -303,8 +297,7 @@ def run_prepare(config: RunConfig) -> dict:
                 tokenize=tokens,
                 entries=entries,
             )
-            if seq.sites:  # without sites, truncation already fits max_len
-                check_length(seq, config.max_len)
+            check_length(seq, config.max_len)
             lines.append(pair_to_json(seq))
         write_batch_file(out_dir / "batches" / f"{split}.jsonl", lines)
         counts[split] = len(lines)
@@ -328,10 +321,10 @@ def run_prepare(config: RunConfig) -> dict:
 
 def _line_to_sequence(line: dict) -> tuple:
     """Decode a batch line to (tokens, soft_positions, segments, visible,
-    label). Token ids must be non-negative ints, segments and the label the
-    ints 0 or 1, and site heads pairs of ints. A line with sites is expanded
-    into its injected sequence; one without keeps hard positions and full
-    visibility (both None)."""
+    label). Token ids must be non-negative ints led by [CLS], which the
+    classifier reads; segments and the label the ints 0 or 1, and site heads
+    pairs of ints. A line with sites is expanded into its injected sequence;
+    one without keeps hard positions and full visibility (both None)."""
     if "soft_pos" in line or "visible_rows" in line:
         raise FormatError(
             "batch line in the old constrained format (soft_pos/visible_rows); "
@@ -340,6 +333,8 @@ def _line_to_sequence(line: dict) -> tuple:
     tokens, segments, label = line.get("tokens"), line.get("segments"), line.get("label")
     if not isinstance(tokens, list) or not isinstance(segments, list):
         raise FormatError("batch line tokens and segments must be lists")
+    if not tokens or tokens[0] != CLS_ID:
+        raise FormatError("batch line tokens must start with [CLS] (id 0)")
     if type(label) is not int or label not in (0, 1):
         raise FormatError(f"batch line label must be 0 or 1, got {label!r}")
     if len(segments) != len(tokens):
@@ -406,7 +401,7 @@ def _load_prepared(
     for n, line in enumerate(read_batch_file(path), start=1):
         try:
             seq = _line_to_sequence(line)
-            if max(seq[0], default=0) >= vocab_size:
+            if max(seq[0]) >= vocab_size:
                 raise FormatError(f"token id {max(seq[0])} >= vocabulary size {vocab_size}")
         except KnowmatchError as exc:  # also a bad site head (Domain/OverlapError)
             raise FormatError(f"{path}: batch line {n}: {exc}") from exc

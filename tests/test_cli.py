@@ -42,6 +42,13 @@ class TestUsage:
         code, _, err = run_cli(capsys, "train", "--bogus", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["prepare", "compare"])
+    def test_unknown_profile(self, capsys, command):
+        args = ("--a", "a.json", "--b", "b.json") if command == "compare" else ()
+        code, _, err = run_cli(capsys, command, *args, "--profile", "nope")
+        assert code == 1
+        assert "nope" in err
+
 
 class TestPipeline:
     def test_prepare_train_eval(self, synth_dir, tmp_path, capsys):

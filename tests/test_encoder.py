@@ -1057,8 +1057,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_integer_and_float_dropout_rates_write_the_same_bytes(self, tmp_path):
+        paths = []
+        for rate in (0, 0.0):
+            config = small_config(dropout_rate=rate)
+            assert type(config.dropout_rate) is float
+            paths.append(tmp_path / f"ckpt_{rate!r}.bin")
+            save_checkpoint(paths[-1], init_params(config), config, seed=0)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestBatch:
+    def test_mask_free_batch_without_lengths_is_full_width(self):
+        config = small_config()
+        params = init_params(config)
+        dense = random_batch(config, np.random.default_rng(41), b=3, l=9)
+        assert dense.mask.all()
+        bare = Batch(dense.token_ids, dense.soft_positions, dense.segments, None, dense.labels)
+        np.testing.assert_array_equal(bare.lengths, [9, 9, 9])
+        with blas_threads(1):
+            probs = [forward(batch, params, config) for batch in (bare, dense)]
+        np.testing.assert_array_equal(probs[0], probs[1])
+
     def test_padding_masks_rows_and_cols(self):
         batch = Batch.from_sequences(
             [

@@ -20,6 +20,7 @@ from knowmatch.errors import (
 )
 from knowmatch.harness import (
     DESK_PROFILE,
+    PROFILES,
     Metrics,
     RunConfig,
     _line_to_sequence,
@@ -173,6 +174,18 @@ class TestResolveConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError):
             resolve_config({"lerning_rate": 1}, env={})
+
+    def test_unknown_flag_key_rejected(self):
+        with pytest.raises(FormatError, match="lerning_rate"):
+            resolve_config(overrides={"lerning_rate": 1}, env={})
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(DomainError, match="unknown profile 'nope'"):
+            resolve_config(profile="nope", env={})
+
+    def test_profiles_are_full_and_desk(self):
+        assert PROFILES == {"full": {}, "desk": DESK_PROFILE}
+        assert resolve_config(profile="full", env={}) == resolve_config(env={})
 
     def test_bad_env_seed(self):
         with pytest.raises(FormatError):
@@ -693,6 +706,12 @@ class TestBatchLines:
         with pytest.raises(FormatError, match="label"):
             _line_to_sequence(line)
 
+    @pytest.mark.parametrize("tokens", [[], [7, 8, 9, 1]])
+    def test_line_without_leading_cls_rejected(self, tokens):
+        line = {"tokens": tokens, "segments": [0] * len(tokens), "sites": [], "label": 1}
+        with pytest.raises(FormatError, match=r"start with \[CLS\]"):
+            _line_to_sequence(line)
+
     def test_identical_site_heads_rejected(self):
         site = {"head": [1, 3], "know": [40], "kind": "entity"}
         with pytest.raises(OverlapError):
@@ -749,7 +768,8 @@ class TestBatchLines:
         "bad", ["{bad", "[1, 2]", '"tokens"', '{"segments": [0], "sites": [], "label": 1}',
                 '{"tokens": 7, "segments": [0], "sites": [], "label": 1}',
                 '{"tokens": [0, 1], "segments": [0, 0], "sites": [{"head": [1, 9], "know": [7]}], '
-                '"label": 1}'],
+                '"label": 1}',
+                '{"tokens": [], "segments": [], "sites": [], "label": 1}'],
     )
     @pytest.mark.parametrize("phase", ["train", "test"])
     def test_malformed_batch_line_names_path_and_line(self, small_dataset, tmp_path, bad, phase):
