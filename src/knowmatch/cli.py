@@ -151,10 +151,11 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
         elif args.command == "annotate":
-            tables = load_tables(args.data_dir)
-            store = build_annotations(
-                tables, args.rule_typer, args.gazetteer, None, args.ditto_mode
+            config = RunConfig(
+                data_dir=args.data_dir, use_rule_typer=args.rule_typer,
+                gazetteer=args.gazetteer, ditto_mode=args.ditto_mode,
             )
+            store = build_annotations(load_tables(config.data_dir), config)
             export_annotations(store, args.out)
             print(json.dumps(store.counts(), sort_keys=True))
     except NumericalError as exc:

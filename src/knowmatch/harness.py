@@ -109,6 +109,8 @@ class RunConfig:
         PromptMode.from_string(self.prompt_mode)  # validates
         if self.ditto_mode.lower() not in ("off", "general", "product"):
             raise DomainError(f"unknown ditto_mode {self.ditto_mode!r}")
+        # One spelling per mode, so the manifest has one too.
+        object.__setattr__(self, "ditto_mode", self.ditto_mode.lower())
         # 8 is the least max_len that serialize_pair accepts.
         for name, lowest in (
             ("min_count", 1), ("batch_size", 1), ("epochs", 0), ("max_len", 8), ("seed", 0),
@@ -209,33 +211,29 @@ class Metrics:
 
 
 def build_annotations(
-    tables,
-    rule_typer: bool,
-    gazetteer: str | Path | None,
-    annotations: str | Path | None,
-    ditto_mode: str,
-    tokenize: Callable[[str], Sequence[str]] = tokenize,
+    tables, config: RunConfig, tokenize: Callable[[str], Sequence[str]] = tokenize
 ) -> AnnotationStore:
-    """Collect annotations in the JSONL file's store (or an empty one): the rule
-    typer types only columns the file leaves untyped, and gazetteer mentions
-    join the file's. Ditto filters mentions last; linking splits by ``tokenize``."""
-    store = ingest_annotations(annotations) if annotations else AnnotationStore()
-    if rule_typer:
+    """Collect the annotations that ``config`` asks for, in its JSONL file's
+    store (or an empty one): the rule typer types only columns the file leaves
+    untyped, and gazetteer mentions join the file's. Ditto filters mentions
+    last; linking splits by ``tokenize``."""
+    store = ingest_annotations(config.annotations) if config.annotations else AnnotationStore()
+    if config.use_rule_typer:
         for table in tables:
             for ann in infer_column_types(table):
                 if store.column_type(ann.table, ann.column) is None:
                     store.add_column_type(ann)
-    if gazetteer:
-        gaz = Gazetteer.from_file(gazetteer)
+    if config.gazetteer:
+        gaz = Gazetteer.from_file(config.gazetteer)
         for table in tables:
             for mention in link_entities(table, gaz, tokenize):
                 store.add_mention(mention)
-    if ditto_mode.lower() == "off":
+    if config.ditto_mode == "off":
         return store
     filtered = AnnotationStore()
     for ann in store.all_column_types():
         filtered.add_column_type(ann)
-    for mention in ditto_inject(store.all_mentions(), ditto_mode):
+    for mention in ditto_inject(store.all_mentions(), config.ditto_mode):
         filtered.add_mention(mention)
     return filtered
 
@@ -263,10 +261,7 @@ def run_prepare(config: RunConfig) -> dict:
         raise FileNotFoundError(f"no split files (train/valid/test.csv) in {data_dir}")
 
     tokens = tokenize_once()
-    store = build_annotations(
-        (left, right), config.use_rule_typer, config.gazetteer,
-        config.annotations, config.ditto_mode, tokenize=tokens,
-    )
+    store = build_annotations((left, right), config, tokenize=tokens)
     tokenizer = build_vocab(
         [left, right], min_count=config.min_count, extra_labels=store.type_labels(),
         tokenize=tokens,
@@ -403,6 +398,8 @@ def _load_prepared(
             seq = _line_to_sequence(line)
             if max(seq[0]) >= vocab_size:
                 raise FormatError(f"token id {max(seq[0])} >= vocabulary size {vocab_size}")
+            if len(seq[0]) > config.max_len:
+                raise FormatError(f"{len(seq[0])} tokens exceed max_len {config.max_len}")
         except KnowmatchError as exc:  # also a bad site head (Domain/OverlapError)
             raise FormatError(f"{path}: batch line {n}: {exc}") from exc
         seqs.append(seq)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -60,27 +60,42 @@ class EntityMention:
             raise FormatError(f"bad mention span [{self.start},{self.end})")
 
 
-@dataclass(frozen=True)
 class Gazetteer:
-    """Surface-form dictionary: lowercase multi-token surface -> entity type."""
+    """Surface-form dictionary: surface -> entity type, matched by tokens.
 
-    entries: dict[str, str]
-    _index: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
-    _widths: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    Every way in (``Gazetteer(entries)``, ``from_pairs``, ``from_file``) is
+    this constructor, which holds both surface rules: a surface must have
+    tokens, and surfaces with the same tokens must have the same type (a
+    repeat with the same type is kept once, as its first spelling). Each
+    surface is tokenized once. ``sources``, one per entry (``"gaz.tsv: line
+    3"``), name a surface's file and line in an error.
+    """
 
-    def __post_init__(self) -> None:
-        index: dict[tuple[str, ...], str] = {}
+    def __init__(
+        self,
+        entries: dict[str, str] | Iterable[tuple[str, str]],
+        sources: Iterable[str] | None = None,
+    ) -> None:
+        pairs = entries.items() if isinstance(entries, dict) else entries
+        sources = itertools.repeat("") if sources is None else sources
+        first: dict[tuple[str, ...], tuple[str, str, str]] = {}
         widths: dict[str, set[int]] = {}
-        for surface, label in self.entries.items():
+        for (surface, label), source in zip(pairs, sources):
             toks = tuple(tokenize(surface))
             if not toks:
-                raise FormatError(f"empty gazetteer surface {surface!r}")
-            index[toks] = label
+                where = f"{source}: " if source else ""
+                raise FormatError(f"{where}empty gazetteer surface {surface!r}")
+            other, other_label, other_source = first.setdefault(toks, (surface, label, source))
+            if other_label != label:
+                raise FormatError(
+                    f"gazetteer surfaces {_named(other, other_source)} and "
+                    f"{_named(surface, source)} have the same tokens but types "
+                    f"{other_label!r} and {label!r}"
+                )
             widths.setdefault(toks[0], set()).add(len(toks))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(
-            self, "_widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()}
-        )
+        self.entries = {surface: label for surface, label, _ in first.values()}
+        self._index = {toks: label for toks, (_, label, _) in first.items()}
+        self._widths = {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()}
 
     def __len__(self) -> int:
         return len(self._index)
@@ -101,31 +116,18 @@ class Gazetteer:
     def from_pairs(
         cls, pairs: Iterable[tuple[str, str]], sources: Iterable[str] | None = None
     ) -> "Gazetteer":
-        """Build from ``(surface, type)`` pairs. Surfaces match by their
-        tokens, so two surfaces with the same tokens must have the same type;
-        otherwise FormatError names both, with their ``sources`` if given."""
-        seen: dict[tuple[str, ...], tuple[str, str, str]] = {}
-        sources = sources if sources is not None else itertools.repeat("")
-        for (surface, label), source in zip(pairs, sources):
-            key = tuple(tokenize(surface))
-            other, other_label, other_source = seen.setdefault(key, (surface, label, source))
-            if other_label != label:
-                raise FormatError(
-                    f"gazetteer surfaces {other!r}{other_source} and {surface!r}{source} "
-                    f"have the same tokens but types {other_label!r} and {label!r}"
-                )
-        return cls(entries={surface.lower(): label for surface, label, _ in seen.values()})
+        """Build from ``(surface, type)`` pairs, which may repeat a surface."""
+        return cls(pairs, sources)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
         """Load a TSV gazetteer: ``surface<TAB>type`` per line, UTF-8."""
-        pairs, sources = [], []
-        for lineno, (surface, label) in read_lines(path, tsv_pair):
-            if not surface.strip():
-                raise FormatError(f"{path}: line {lineno}: empty gazetteer surface")
-            pairs.append((surface, label))
-            sources.append(f" ({path}: line {lineno})")
-        return cls.from_pairs(pairs, sources)
+        lines = list(read_lines(path, tsv_pair))
+        return cls([pair for _, pair in lines], [f"{path}: line {n}" for n, _ in lines])
+
+
+def _named(surface: str, source: str) -> str:
+    return f"{surface!r} ({source})" if source else repr(surface)
 
 
 class AnnotationStore:
@@ -312,11 +314,23 @@ def ditto_inject(
     return out
 
 
+def _field(obj: dict, key: str, types: tuple[type, ...] = (str,)):
+    """``obj[key]``, which must be exactly one of ``types``: nothing is
+    coerced, and a bool is not an int."""
+    value = obj[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
 def ingest_annotations(path: str | Path) -> AnnotationStore:
     """Read an annotation JSONL file into a store.
 
     One object per line, ``kind`` is ``column_type`` or ``mention``. Later
     column_type lines override earlier ones for the same (table, column).
+    Names, surfaces and types are JSON strings, ``start`` and ``end`` JSON
+    integers, and ``confidence`` a number.
     """
     store = AnnotationStore()
     for lineno, obj in read_lines(path, json_object):
@@ -327,25 +341,25 @@ def ingest_annotations(path: str | Path) -> AnnotationStore:
             if kind == "column_type":
                 store.add_column_type(
                     ColumnTypeAnnotation(
-                        table=str(obj["table"]),
-                        column=str(obj["column"]),
-                        predicted_type=str(obj["type"]),
-                        confidence=float(obj["confidence"]),
+                        table=_field(obj, "table"),
+                        column=_field(obj, "column"),
+                        predicted_type=_field(obj, "type"),
+                        confidence=float(_field(obj, "confidence", (int, float))),
                     )
                 )
             else:
                 store.add_mention(
                     EntityMention(
-                        table=str(obj["table"]),
-                        row=str(obj["row"]),
-                        column=str(obj["column"]),
-                        start=int(obj["start"]),
-                        end=int(obj["end"]),
-                        surface=str(obj["surface"]),
-                        entity_type=str(obj["type"]),
+                        table=_field(obj, "table"),
+                        row=_field(obj, "row"),
+                        column=_field(obj, "column"),
+                        start=_field(obj, "start", (int,)),
+                        end=_field(obj, "end", (int,)),
+                        surface=_field(obj, "surface"),
+                        entity_type=_field(obj, "type"),
                     )
                 )
-        except (KeyError, ValueError, TypeError, FormatError) as exc:
+        except (KeyError, TypeError, OverflowError, FormatError) as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         except OverlapError as exc:
             raise OverlapError(f"{path}: line {lineno}: {exc}") from exc

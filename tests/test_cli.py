@@ -309,9 +309,10 @@ class TestAnnotateCommand:
         ]
         assert all(obj["kind"] in ("column_type", "mention") for obj in lines)
 
-    def test_annotate_ditto_general_keeps_general_types(self, synth_dir, tmp_path, capsys):
-        # One gazetteer entry per word of the first left name, typed with a
-        # General type (ORG, PERSON) or a non-General one (NORP, artist).
+    @staticmethod
+    def mixed_gazetteer(synth_dir, tmp_path):
+        """One gazetteer entry per word of the first left name, typed with a
+        General type (ORG, PERSON) or a non-General one (NORP, artist)."""
         first_row = (synth_dir / "tableA.csv").read_text().splitlines()[1]
         words = first_row.split(",")[1].split()
         assert len(words) >= 2
@@ -321,6 +322,10 @@ class TestAnnotateCommand:
             "".join(f"{w}\t{label}\n" for w, label in zip(words, labels)),
             encoding="utf-8",
         )
+        return gaz
+
+    def test_annotate_ditto_general_keeps_general_types(self, synth_dir, tmp_path, capsys):
+        gaz = self.mixed_gazetteer(synth_dir, tmp_path)
         out_file = tmp_path / "annotations.jsonl"
         code, _, _ = run_cli(
             capsys, "annotate", "--data_dir", str(synth_dir), "--out", str(out_file),
@@ -343,3 +348,19 @@ class TestAnnotateCommand:
         )
         assert code == 2
         assert "ditto" in err
+
+    @pytest.mark.parametrize("spelling", ["OFF", "General", "PRODUCT"])
+    def test_annotate_ditto_mode_spellings_write_the_same_file(
+        self, synth_dir, tmp_path, capsys, spelling
+    ):
+        gaz = self.mixed_gazetteer(synth_dir, tmp_path)
+        written = []
+        for i, mode in enumerate((spelling, spelling.lower())):
+            out_file = tmp_path / f"annotations_{i}.jsonl"
+            code, _, _ = run_cli(
+                capsys, "annotate", "--data_dir", str(synth_dir), "--out", str(out_file),
+                "--gazetteer", str(gaz), "--ditto_mode", mode,
+            )
+            assert code == 0
+            written.append(out_file.read_bytes())
+        assert written[0] == written[1]

@@ -93,10 +93,7 @@ def unmemoized_prepare(config):
     data_dir = Path(config.data_dir)
     left = load_table(data_dir / "tableA.csv")
     right = load_table(data_dir / "tableB.csv")
-    store = build_annotations(
-        (left, right), config.use_rule_typer, config.gazetteer,
-        config.annotations, config.ditto_mode,
-    )
+    store = build_annotations((left, right), config)
     tokenizer = build_vocab(
         [left, right], min_count=config.min_count, extra_labels=store.type_labels()
     )
@@ -157,6 +154,10 @@ class TestResolveConfig:
         assert config.epochs == 10
         assert config.lr == pytest.approx(1e-3)
         assert config.max_len == 128
+
+    @pytest.mark.parametrize("spelling", ["General", "GENERAL", "general"])
+    def test_ditto_mode_stored_lowercase(self, spelling):
+        assert RunConfig(ditto_mode=spelling).ditto_mode == "general"
 
     def test_precedence_config_env_flag(self):
         config = resolve_config({"seed": 1}, env={})
@@ -286,10 +287,7 @@ class TestPrepare:
         manifest = run_prepare(config)
         left = load_table(small_dataset / "tableA.csv")
         right = load_table(small_dataset / "tableB.csv")
-        store = build_annotations(
-            (left, right), config.use_rule_typer, config.gazetteer,
-            config.annotations, config.ditto_mode,
-        )
+        store = build_annotations((left, right), config)
         tokenizer = Tokenizer.load(out / "vocab.tsv")
         checked = 0
         for split in manifest["splits"]:
@@ -532,6 +530,19 @@ class TestPrepare:
         assert entity_labels and all(label == ["product"] for label in entity_labels)
         assert column_labels and all(label == ["name"] for label in column_labels)
 
+    def test_ditto_mode_spellings_write_the_same_bytes(self, small_dataset, tmp_path):
+        annotations = str(small_dataset / "gold_annotations.jsonl")
+        outs = [tmp_path / "upper", tmp_path / "lower"]
+        for out, spelling in zip(outs, ("General", "general")):
+            run_prepare(
+                desk_config(small_dataset, out, annotations=annotations, ditto_mode=spelling)
+            )
+        names = ["manifest.json", "vocab.tsv"] + [
+            f"batches/{split}.jsonl" for split in ("train", "valid", "test")
+        ]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestBuildAnnotations:
     @staticmethod
@@ -602,11 +613,14 @@ class TestBuildAnnotations:
         gaz.write_text(GAZETTEER, encoding="utf-8")
         ann_path = tmp_path / "anns.jsonl"
         assert self.annotation_file(small_dataset, tables, gaz, ann_path) >= 4
-        args = (
-            tables, rule_typer, str(gaz) if use_gazetteer else None,
-            str(ann_path) if use_file else None, ditto_mode,
+        gazetteer = str(gaz) if use_gazetteer else None
+        annotations = str(ann_path) if use_file else None
+        config = RunConfig(
+            use_rule_typer=rule_typer, gazetteer=gazetteer, annotations=annotations,
+            ditto_mode=ditto_mode,
         )
-        store, oracle = build_annotations(*args), self.three_store_build(*args)
+        store = build_annotations(tables, config)
+        oracle = self.three_store_build(tables, rule_typer, gazetteer, annotations, ditto_mode)
         assert store.all_column_types() == oracle.all_column_types()
         assert store.all_mentions() == oracle.all_mentions()
         assert store.counts() == oracle.counts()
@@ -625,7 +639,7 @@ class TestBuildAnnotations:
 
         monkeypatch.setattr(AnnotationStore, "add_mention", spy)
         tables = harness.load_tables(small_dataset)
-        store = build_annotations(tables, False, None, str(path), "off")
+        store = build_annotations(tables, RunConfig(annotations=str(path)))
         assert len(calls) == n_mentions == store.counts()["mentions"]
 
 
@@ -796,6 +810,27 @@ class TestBatchLines:
         expected = rf"{phase}\.jsonl: batch line 2: token id {size} >= vocabulary size {size}"
         with pytest.raises(FormatError, match=expected):
             run_train(config) if phase == "train" else evaluate(config, phase)
+
+    @pytest.mark.parametrize("phase", ["train", "test"])
+    def test_line_longer_than_max_len_rejected(self, small_dataset, tmp_path, phase):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=0)
+        run_prepare(config)
+        run_train(config)
+        log_path = tmp_path / "out" / "loss_log.jsonl"
+        log_path.unlink()
+        path = tmp_path / "out" / "batches" / f"{phase}.jsonl"
+        lines = read_batch_file(path)
+        extra = config.max_len + 1 - len(lines[0]["tokens"])
+        lines[0]["tokens"] += lines[0]["tokens"][1:2] * extra
+        lines[0]["segments"] += [1] * extra
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        expected = (
+            rf"{phase}\.jsonl: batch line 1: {config.max_len + 1} tokens exceed "
+            rf"max_len {config.max_len}"
+        )
+        with pytest.raises(FormatError, match=expected):
+            run_train(config) if phase == "train" else evaluate(config, phase)
+        assert not log_path.exists()
 
     def test_evaluate_rejects_unlabeled_line(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out", epochs=0)

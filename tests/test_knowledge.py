@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -177,7 +178,14 @@ class TestLinkEntities:
         ),
     )
     def test_matches_width_scan(self, surfaces, cells):
-        gaz = Gazetteer(entries=surfaces)
+        # Surfaces with the same tokens ("apple", "Apple") must share a type:
+        # give each its first drawn one, and a dict that differs is rejected.
+        first = {}
+        entries = {s: first.setdefault(tuple(tokenize(s)), t) for s, t in surfaces.items()}
+        if entries != surfaces:
+            with pytest.raises(FormatError, match="same tokens"):
+                Gazetteer(entries=surfaces)
+        gaz = Gazetteer(entries=entries)
         table = column_table(cells, name="tableA", column="title")
         assert link_entities(table, gaz) == self.width_scan(table, gaz)
 
@@ -343,6 +351,34 @@ class TestIngestExport:
         with pytest.raises(FormatError):
             ingest_annotations(path)
 
+    COLUMN_TYPE = {"kind": "column_type", "table": "A", "column": "c", "type": "song",
+                   "confidence": 0.9}
+    MENTION = {"kind": "mention", "table": "A", "row": "0", "column": "c", "start": 0,
+               "end": 2, "surface": "a b", "type": "ORG"}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            dict(MENTION, start=1.7), dict(MENTION, start=True), dict(MENTION, start="0"),
+            dict(MENTION, end="3"), dict(MENTION, end=2.0), dict(MENTION, surface=None),
+            dict(MENTION, type=["list"]), dict(MENTION, row=0), dict(MENTION, table=1),
+            dict(MENTION, column=False),
+            dict(COLUMN_TYPE, type=["list"]), dict(COLUMN_TYPE, column=None),
+            dict(COLUMN_TYPE, confidence="0.9"), dict(COLUMN_TYPE, confidence=True),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, tmp_path, line):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps(self.MENTION) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(FormatError, match=r"ann\.jsonl: line 2: \w+ must be "):
+            ingest_annotations(path)
+
+    def test_integer_confidence_is_stored_as_float(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps(dict(self.COLUMN_TYPE, confidence=1)) + "\n")
+        confidence = ingest_annotations(path).column_type("A", "c").confidence
+        assert type(confidence) is float and confidence == 1.0
+
     def test_export_ingest_identity(self, tmp_path):
         store = AnnotationStore()
         store.add_column_type(ColumnTypeAnnotation("A", "name", "song", 0.9))
@@ -381,6 +417,11 @@ class TestGazetteer:
     def test_empty_surface_rejected(self):
         with pytest.raises(FormatError):
             Gazetteer(entries={"  ": "X"})
+
+    def test_constructor_rejects_surfaces_with_same_tokens_and_other_types(self):
+        with pytest.raises(FormatError) as err:
+            Gazetteer(entries={"Apple": "ORG", "apple": "PRODUCT"})
+        assert "'Apple'" in str(err.value) and "'apple'" in str(err.value)
 
     @pytest.mark.parametrize("other", ["Alpha", "alpha", "ALPHA  ", "alpha\u00a0"])
     def test_surfaces_with_same_tokens_and_other_types_rejected(self, other):
