@@ -1,10 +1,11 @@
 """A small transformer encoder classifier with visibility-masked attention.
 
-Runs on plain numpy in 64-bit floats by default. Positions are looked up
-from the soft-position vector, attention logits are masked with -1e9 where
-the visibility matrix is 0, and the [CLS] hidden state feeds a two-way
-classification head. Backpropagation is written out analytically so it can
-be checked against finite differences.
+Runs on plain numpy in the config's dtype: runs train in float32, and the
+float64 default is the reference that the gradient checks use. Positions
+are looked up from the soft-position vector, attention logits are masked
+with -1e9 where the visibility matrix is 0, and the [CLS] hidden state
+feeds a two-way classification head. Backpropagation is written out
+analytically so it can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ ADAM_EPS = 1e-8
 # two sizes: the row chunks, whose (rows, H, L, L) scores must fit (1 row at
 # L=512, the whole batch at short lengths), and the head groups, run one at a
 # time within a chunk. 2 MiB is one head's (512, 512) float64 block and a
-# typical per-core L2. The chunk size depends on L alone; the padding that
-# ``forward`` then drops only makes a chunk's buffers smaller. Blocks of up to
+# typical per-core L2, so a float32 run scores 2 heads per group there. The
+# chunk size depends on L and the dtype alone; the padding that ``forward``
+# then drops only makes a chunk's buffers smaller. Blocks of up to
 # (16, 4, 53, 53) float64 fit whole, so short inputs run in one group.
 # Training is not bounded: it scores every head in one block.
 ATTN_CHUNK_BYTES = 2 * 2**20
@@ -842,8 +844,10 @@ def save_checkpoint(
     seed: int,
     vocab_hash: str | None = None,
 ) -> None:
-    """Write a self-describing checkpoint: JSON header line + raw arrays."""
+    """Write a self-describing checkpoint: JSON header line + raw arrays,
+    little-endian in the config's dtype."""
     order = param_shapes(config)
+    item = np.dtype(config.np_dtype).newbyteorder("<")
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
@@ -854,7 +858,7 @@ def save_checkpoint(
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in order:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(params[name], dtype=item).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
@@ -878,13 +882,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
             {"name": name, "shape": list(shape)} for name, shape in shapes.items()
         ]:
             raise FormatError(f"{path}: parameter list does not match the config")
+        item = np.dtype(config.np_dtype).newbyteorder("<")
         params = {}
         for name, shape in shapes.items():
-            count = math.prod(shape)
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            size = math.prod(shape) * item.itemsize
+            buf = fh.read(size)
+            if len(buf) != size:
                 raise FormatError(f"{path}: truncated checkpoint")
-            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(config.np_dtype)
+            params[name] = np.frombuffer(buf, dtype=item).reshape(shape).astype(config.np_dtype)
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the last array")
     return params, config, seed, header

@@ -124,11 +124,13 @@ class RunConfig:
         self.encoder_config(vocab_size=1)  # the encoder checks its own keys
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        """The encoder that ``run_train`` trains over a ``vocab_size`` vocabulary."""
+        """The encoder that ``run_train`` trains over a ``vocab_size``
+        vocabulary, always in float32."""
         return EncoderConfig(
             vocab_size=vocab_size, d_model=self.d_model, n_heads=self.n_heads,
             n_layers=self.n_layers, d_ff=self.d_ff, max_position=self.max_len,
             dropout_rate=self.dropout, seed=self.seed, use_segments=self.use_segments,
+            dtype="float32",
         )
 
     @property
@@ -458,11 +460,17 @@ def run_train(config: RunConfig) -> dict:
 
 @blas_threads(1)
 def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None) -> Metrics:
-    """Evaluate the trained checkpoint on one prepared split (0.5 threshold)."""
+    """Evaluate the trained checkpoint on one prepared split (0.5 threshold),
+    in the dtype that the checkpoint names."""
     out_dir = Path(config.out_dir)
     checkpoint = Path(checkpoint) if checkpoint else out_dir / "checkpoint.bin"
     params, enc_config, _seed, header = load_checkpoint(checkpoint)
     seqs = _load_prepared(config, split, enc_config.vocab_size, header.get("vocab_hash"))
+    if enc_config.max_position < config.max_len:
+        raise IncompatibleArtifactsError(
+            f"{checkpoint} embeds {enc_config.max_position} positions, fewer than "
+            f"max_len={config.max_len} that {out_dir} was prepared with; re-run train"
+        )
     predictions, labels = [], []
     order = list(range(len(seqs)))
     ws = Workspace()

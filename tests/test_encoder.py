@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -742,6 +743,42 @@ class TestGradients:
         ) + ("pos_emb", "tok_emb")
         self.check_finite_differences(batch, params, config, names, rng)
 
+    def test_float32_matches_float64_at_the_same_parameters(self):
+        # Row 0 carries a two-token branch at positions 6-7 on head token 2:
+        # the branch sees itself and its head, and only the head sees it.
+        # Row 1 is 5 tokens long, row 2 the full 8.
+        config32 = small_config(dtype="float32")
+        params32 = init_params(config32)
+        params64 = {name: p.astype(np.float64) for name, p in params32.items()}
+        b, l = 3, 8
+        visible = np.zeros((b, l, l), dtype=bool)
+        visible[0, :6, :6] = True
+        visible[0, 6:, 6:] = visible[0, 6:, 2] = visible[0, 2, 6:] = True
+        visible[1, :5, :5] = True
+        visible[2] = True
+        rng = np.random.default_rng(15)
+        ids = rng.integers(6, config32.vocab_size, size=(b, l))
+        ids[:, 0] = 0
+        ids[1, 5:] = 1  # [PAD]
+        soft = np.tile(np.arange(l), (b, 1))
+        soft[0, 6:] = [3, 4]
+        segments = (np.arange(l) >= 4).astype(np.int64)[None].repeat(b, axis=0)
+        batch = Batch(ids, soft, segments, visible, np.array([1, 0, 1]))
+
+        loss32, g32 = loss_and_gradients(batch, params32, config32)
+        loss64, g64 = loss_and_gradients(batch, params64, small_config())
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        largest = max(np.linalg.norm(g) for g in g64.values())
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float32, name
+            err = np.linalg.norm(g32[name] - g)
+            if name.endswith(".bk"):
+                # Softmax is shift-invariant, so the key bias's true gradient
+                # is zero and both dtypes read rounding alone.
+                assert err <= 1e-6 * largest, name
+            else:
+                assert err <= 1e-4 * np.linalg.norm(g), name
+
     @staticmethod
     def check_finite_differences(batch, params, config, names, rng):
         """Central differences of the eval loss at 8 random coordinates of
@@ -1014,6 +1051,27 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_float64_bytes_unchanged(self, tmp_path):
+        # The sha256 that this float64 checkpoint has had since format
+        # version 1, when every checkpoint was written in float64.
+        config = small_config()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(config), config, seed=42, vocab_hash="abc")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4504e33da0a06de1ce9cafdf4d2f0d05981cea97088d81cf7189a69ed4b4b554"
+        )
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    def test_size_checked_in_the_header_dtype(self, tmp_path, dtype, damage):
+        config = small_config(dtype=dtype)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(config), config, seed=0)
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] if damage == "truncated" else data + b"\x00")
+        with pytest.raises(FormatError, match=damage):
             load_checkpoint(path)
 
     def test_bad_header_rejected(self, tmp_path):

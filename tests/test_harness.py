@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from knowmatch import blas, cli, harness
-from knowmatch.encoder import init_params, load_checkpoint
+from knowmatch.encoder import forward, init_params, load_checkpoint, save_checkpoint
 from knowmatch.errors import (
     DegenerateError,
     DomainError,
@@ -1046,6 +1046,57 @@ class TestTrainEvaluate:
         (tmp_path / "out" / "manifest.json").write_text(text + "\n")
         with pytest.raises(FormatError, match="manifest.json: "):
             run_train(config) if phase == "train" else evaluate(config, "test")
+
+    def test_checkpoint_shorter_than_max_len_rejected(self, small_dataset, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_prepare(desk_config(small_dataset, out, max_len=30, epochs=0))
+        run_train(desk_config(small_dataset, out, max_len=30, epochs=0))
+        config = desk_config(small_dataset, out, max_len=128)
+        run_prepare(config)
+        monkeypatch.setattr(harness, "forward", None)  # no batch is scored
+        checkpoint = str(out / "checkpoint.bin")
+        with pytest.raises(IncompatibleArtifactsError) as info:
+            evaluate(config, "test")
+        message = str(info.value)
+        assert checkpoint in message and "30" in message and "max_len=128" in message
+
+    def test_run_checkpoint_is_float32_and_round_trips(self, small_dataset, tmp_path):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=1)
+        run_prepare(config)
+        run_train(config)
+        path = tmp_path / "out" / "checkpoint.bin"
+        blob = path.read_bytes()
+        params, enc_config, seed, header = load_checkpoint(path)
+        assert enc_config.dtype == header["config"]["dtype"] == "float32"
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
+        count = sum(p.size for p in params.values())
+        assert len(blob) == blob.index(b"\n") + 1 + 4 * count
+        again = tmp_path / "again.bin"
+        save_checkpoint(again, params, enc_config, seed, vocab_hash=header["vocab_hash"])
+        assert again.read_bytes() == blob
+
+    def test_float64_checkpoint_scored_in_float64(self, small_dataset, tmp_path, monkeypatch):
+        config = desk_config(small_dataset, tmp_path / "out", epochs=1)
+        run_prepare(config)
+        run_train(config)
+        params, enc_config, seed, header = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
+        enc64 = dataclasses.replace(enc_config, dtype="float64")
+        params64 = {name: p.astype(np.float64) for name, p in params.items()}
+        path64 = tmp_path / "f64.bin"
+        save_checkpoint(path64, params64, enc64, seed, vocab_hash=header["vocab_hash"])
+        scored = []
+
+        def spy(batch, params, enc_config, ws=None, real=harness.forward):
+            scored.append((batch, real(batch, params, enc_config, ws).copy()))
+            return scored[-1][1]
+
+        monkeypatch.setattr(harness, "forward", spy)
+        evaluate(config, "test", checkpoint=path64)
+        assert scored
+        with blas.blas_threads(1):
+            for batch, probs in scored:
+                assert probs.dtype == np.float64
+                np.testing.assert_array_equal(probs, forward(batch, params64, enc64))
 
     def test_unprepared_split_rejected(self, small_dataset, tmp_path):
         config = desk_config(small_dataset, tmp_path / "out")
