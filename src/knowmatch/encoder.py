@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FormatError, NumericalError
-from .tabular import json_object
+from .tabular import check_fields, json_object
 
 MASK_VALUE = -1e9
 LN_EPS = 1e-5
@@ -63,11 +63,9 @@ class EncoderConfig:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "max_position"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_layers < 0:
-            raise DomainError(f"n_layers must be >= 0, got {self.n_layers}")
+        check_fields(
+            self, vocab_size=1, d_model=1, n_heads=1, n_layers=0, d_ff=1, max_position=1, seed=0
+        )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DomainError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         # One form in a checkpoint header: a rate of 0 is written as 0.0.
@@ -145,8 +143,7 @@ class Batch:
 
     ``forward`` hands ``_encode`` chunks with the trailing padding rows
     dropped: (rows, n) tokens against ``keys`` = L key columns. Without
-    ``lengths`` a row's length is the full width, or with a mask one past
-    its last token that sees or is seen by any token.
+    ``lengths`` every row is full width.
     """
 
     token_ids: np.ndarray      # (B, n) int64
@@ -162,12 +159,8 @@ class Batch:
             width = self.token_ids if self.mask is None else self.mask
             object.__setattr__(self, "keys", width.shape[-1])
         if self.lengths is None:
-            if self.mask is None:
-                lengths = np.full(self.size, self.token_ids.shape[1], dtype=np.int64)
-            else:
-                used = self.mask.any(axis=1) | self.mask.any(axis=2)
-                lengths = (used * np.arange(1, used.shape[1] + 1)).max(axis=1)
-            object.__setattr__(self, "lengths", lengths)
+            full = np.full(self.size, self.token_ids.shape[1], dtype=np.int64)
+            object.__setattr__(self, "lengths", full)
 
     @classmethod
     def from_sequences(
@@ -215,10 +208,13 @@ class Batch:
         tokens see each other. The encoder never reads it."""
         if self.mask is not None:
             return self.mask
-        real = self.lengths[:, None]
-        queries = np.arange(self.token_ids.shape[1]) < real
-        keys = np.arange(self.keys) < real
-        return queries[:, :, None] & keys[:, None, :]
+        real = _real_keys(self)
+        return real[:, : self.token_ids.shape[1], None] & real[:, None, :]
+
+
+def _real_keys(batch: Batch) -> np.ndarray:
+    """(B, L) bool: key j of row i is a real token, ``j < lengths[i]``."""
+    return np.arange(batch.keys) < batch.lengths[:, None]
 
 
 class Workspace:
@@ -396,7 +392,7 @@ def _mask_bias(batch, dtype, ws):
     them, and the gradients that reach them are zeros."""
     visible = batch.mask
     if visible is None:
-        visible = (np.arange(batch.keys) < batch.lengths[:, None])[:, None]
+        visible = _real_keys(batch)[:, None]
     return _visible_bias(visible, dtype, ws)
 
 
@@ -874,8 +870,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, EncoderConfig, int, dict]:
             raise FormatError(f"{path}: unsupported checkpoint version")
         try:
             config = EncoderConfig(**header["config"])
-            seed = int(header["seed"])
-        except (KeyError, TypeError, ValueError, DomainError) as exc:
+            seed = header["seed"]
+            if type(seed) is not int:
+                raise FormatError(f"header key seed must be int, got {seed!r}")
+        except (KeyError, TypeError, DomainError, FormatError) as exc:
             raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
         shapes = param_shapes(config)
         if header.get("params") != [

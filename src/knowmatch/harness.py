@@ -37,6 +37,7 @@ from .errors import (
     IncompatibleArtifactsError,
     KnowmatchError,
     NumericalError,
+    OverlapError,
 )
 from .injection import Branch, InjectionTree, expand
 from .knowledge import (
@@ -57,7 +58,9 @@ from .serializer import (
     write_batch_file,
 )
 from .stats import paired_ttest
-from .tabular import SPLITS, Table, json_object, load_pairs, load_table, write_json_lines
+from .tabular import (
+    SPLITS, Table, check_fields, json_object, load_pairs, load_table, write_json_lines,
+)
 from .text import CLS_ID, PAD_ID, Tokenizer, tokenize, tokenize_once
 
 SEED_ENV_VAR = "KAER_SEED"
@@ -66,16 +69,6 @@ SEED_ENV_VAR = "KAER_SEED"
 # encoder, where they are impractical.
 DESK_PROFILE = {"batch_size": 16, "epochs": 10, "lr": 1e-3, "max_len": 128}
 PROFILES = {"full": {}, "desk": DESK_PROFILE}
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether a config value has its field's declared type. A bool is not a
-    number here, and an int is a valid float."""
-    if annotation == "str | None" and value is None:
-        return True
-    return type(value) in {"int": (int,), "float": (int, float), "bool": (bool,)}.get(
-        annotation, (str,)
-    )
 
 
 @dataclass(frozen=True)
@@ -102,21 +95,13 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, f.type):
-                raise FormatError(f"config key {f.name} must be {f.type}, got {value!r}")
+        # 8 is the least max_len that serialize_pair accepts.
+        check_fields(self, min_count=1, batch_size=1, epochs=0, max_len=8, seed=0)
         PromptMode.from_string(self.prompt_mode)  # validates
         if self.ditto_mode.lower() not in ("off", "general", "product"):
             raise DomainError(f"unknown ditto_mode {self.ditto_mode!r}")
         # One spelling per mode, so the manifest has one too.
         object.__setattr__(self, "ditto_mode", self.ditto_mode.lower())
-        # 8 is the least max_len that serialize_pair accepts.
-        for name, lowest in (
-            ("min_count", 1), ("batch_size", 1), ("epochs", 0), ("max_len", 8), ("seed", 0),
-        ):
-            if getattr(self, name) < lowest:
-                raise DomainError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
         if not 0.0 < self.lr < math.inf:
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if self.threads != 1:
@@ -217,8 +202,8 @@ def build_annotations(
 ) -> AnnotationStore:
     """Collect the annotations that ``config`` asks for, in its JSONL file's
     store (or an empty one): the rule typer types only columns the file leaves
-    untyped, and gazetteer mentions join the file's. Ditto filters mentions
-    last; linking splits by ``tokenize``."""
+    untyped, and gazetteer mentions join the file's where they overlap none of
+    its mentions. Ditto filters mentions last; linking splits by ``tokenize``."""
     store = ingest_annotations(config.annotations) if config.annotations else AnnotationStore()
     if config.use_rule_typer:
         for table in tables:
@@ -229,7 +214,10 @@ def build_annotations(
         gaz = Gazetteer.from_file(config.gazetteer)
         for table in tables:
             for mention in link_entities(table, gaz, tokenize):
-                store.add_mention(mention)
+                try:
+                    store.add_mention(mention)
+                except OverlapError:  # the file's mention wins
+                    pass
     if config.ditto_mode == "off":
         return store
     filtered = AnnotationStore()

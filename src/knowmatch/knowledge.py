@@ -63,8 +63,8 @@ class EntityMention:
 class Gazetteer:
     """Surface-form dictionary: surface -> entity type, matched by tokens.
 
-    Every way in (``Gazetteer(entries)``, ``from_pairs``, ``from_file``) is
-    this constructor, which holds both surface rules: a surface must have
+    Both ways in (``Gazetteer(entries)`` and ``from_file``) are this
+    constructor, which holds both surface rules: a surface must have
     tokens, and surfaces with the same tokens must have the same type (a
     repeat with the same type is kept once, as its first spelling). Each
     surface is tokenized once. ``sources``, one per entry (``"gaz.tsv: line
@@ -111,13 +111,6 @@ class Gazetteer:
     @property
     def type_labels(self) -> tuple[str, ...]:
         return tuple(sorted(set(self._index.values())))
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[str, str]], sources: Iterable[str] | None = None
-    ) -> "Gazetteer":
-        """Build from ``(surface, type)`` pairs, which may repeat a surface."""
-        return cls(pairs, sources)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":

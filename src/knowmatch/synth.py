@@ -17,7 +17,9 @@ from pathlib import Path
 
 from .errors import DomainError
 from .knowledge import AnnotationStore, ColumnTypeAnnotation, EntityMention, export_annotations
-from .tabular import LabeledPair, LabeledPairSet, Record, Table, write_pairs, write_table
+from .tabular import (
+    LabeledPair, LabeledPairSet, Record, Table, check_fields, write_pairs, write_table,
+)
 from .text import tokenize
 
 _ADJECTIVES = (
@@ -55,18 +57,13 @@ class SyntheticSpec:
     valid_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.entities < 1:
-            raise DomainError("entities must be >= 1")
-        if self.ambiguity < 1:
-            raise DomainError("ambiguity must be >= 1")
+        check_fields(self, entities=1, ambiguity=1, extra_columns=0)
         if not self.categories:
             raise DomainError("need at least one category")
         if not 0.0 <= self.match_rate <= 1.0:
             raise DomainError("match_rate must be in [0,1]")
         if not 0.0 <= self.perturbation <= 1.0:
             raise DomainError("perturbation must be in [0,1]")
-        if self.extra_columns < 0:
-            raise DomainError("extra_columns must be >= 0")
         if self.train_frac < 0 or self.valid_frac < 0 or self.train_frac + self.valid_frac > 1.0:
             raise DomainError("split fractions must be non-negative and sum to <= 1")
 

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -160,6 +160,29 @@ def json_object(text: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+# The types each declared field type admits: a bool is not a number, an int
+# is a valid float, and a tuple[str, ...] must hold strings alone.
+_FIELD_TYPES = {
+    "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+    "str | None": (str, type(None)), "tuple[str, ...]": (tuple,),
+}
+
+
+def check_fields(config, **lowest) -> None:
+    """Check each field of dataclass ``config`` against its declared type,
+    then each one named in ``lowest`` against its least value. A wrong type
+    is a FormatError naming the key, a value below its bound a DomainError."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(value) not in _FIELD_TYPES[f.type] or (
+            type(value) is tuple and any(type(v) is not str for v in value)
+        ):
+            raise FormatError(f"config key {f.name} must be {f.type}, got {value!r}")
+    for name, least in lowest.items():
+        if getattr(config, name) < least:
+            raise DomainError(f"{name} must be >= {least}, got {getattr(config, name)}")
 
 
 def tsv_pair(text: str) -> tuple[str, str]:

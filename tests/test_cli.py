@@ -153,7 +153,8 @@ class TestPipeline:
         assert json.loads(header)["seed"] == 77
 
     @pytest.mark.parametrize(
-        "damage", ["trailing-bytes", "missing-param", "unknown-config-key", "zero-heads"]
+        "damage",
+        ["trailing-bytes", "missing-param", "unknown-config-key", "zero-heads", "fractional-layers"],
     )
     def test_eval_bad_checkpoint_exit_2(self, synth_dir, tmp_path, capsys, damage):
         out = tmp_path / "out"
@@ -168,6 +169,8 @@ class TestPipeline:
             header["params"].pop()
         elif damage == "zero-heads":
             header["config"]["n_heads"] = 0
+        elif damage == "fractional-layers":
+            header["config"]["n_layers"] = 1.5
         else:
             header["config"]["colour"] = "blue"
         bad = tmp_path / "bad.bin"

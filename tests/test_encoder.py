@@ -529,7 +529,8 @@ class TestKernels:
         # padding query rows attend to the real keys; no real row reads
         # them, and the gradients that reach them are zeros of either sign.
         # At L 200 ``forward`` runs row chunks of 1 (float64) or 3 (float32)
-        # rows, some trimmed below L.
+        # rows, some trimmed below L. The dense batch, built without lengths,
+        # is full width, so its walk trims nothing.
         config = small_config(
             d_model=64, n_heads=4, d_ff=128, max_position=200, dtype=dtype,
             dropout_rate=dropout,
@@ -538,7 +539,7 @@ class TestKernels:
         free = self.long_batch(config, np.random.default_rng(32), "template", lengths)
         assert free.mask is None
         dense = Batch(free.token_ids, free.soft_positions, free.segments, free.visible, free.labels)
-        np.testing.assert_array_equal(dense.lengths, lengths)
+        np.testing.assert_array_equal(dense.lengths, [200] * 4)
         results = []
         for batch in (free, dense):
             params = init_params(config)
@@ -1115,6 +1116,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit_header, key",
+        [
+            (lambda h: h["config"].update(n_layers=1.5), "n_layers"),
+            # The parameter list still matches: 16.0 == 16.
+            (lambda h: h["config"].update(d_model=16.0), "d_model"),
+            (lambda h: h["config"].update(use_segments="no"), "use_segments"),
+            (lambda h: h.update(seed="7"), "seed"),
+        ],
+        ids=["fractional-layers", "float-width", "string-segments", "string-seed"],
+    )
+    def test_header_value_of_the_wrong_type_rejected(self, tmp_path, edit_header, key):
+        config = small_config()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(config), config, seed=0)
+        self._rewrite(path, edit_header)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and f"key {key} must be" in str(err.value)
+
     def test_integer_and_float_dropout_rates_write_the_same_bytes(self, tmp_path):
         paths = []
         for rate in (0, 0.0):
@@ -1228,6 +1249,7 @@ class TestBatch:
             ("vocab_size", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -2),
             ("d_ff", 0), ("max_position", 0), ("n_layers", -1),
             ("dropout_rate", -1.0), ("dropout_rate", 1.0), ("dropout_rate", float("nan")),
+            ("seed", -1),
         ],
     )
     def test_config_out_of_range_rejected(self, field, value):

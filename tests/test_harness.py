@@ -642,6 +642,28 @@ class TestBuildAnnotations:
         store = build_annotations(tables, RunConfig(annotations=str(path)))
         assert len(calls) == n_mentions == store.counts()["mentions"]
 
+    def test_file_mentions_win_over_gazetteer_hits(self, tmp_path):
+        # A gazetteer of the gold surfaces finds the file's own mentions. At
+        # ambiguity 1 each surface has one type, so adding it to the gold
+        # annotations changes no byte of the prepared batches.
+        data_dir = tmp_path / "data"
+        write_synthetic(generate_synthetic(SyntheticSpec(entities=16, ambiguity=1), seed=3), data_dir)
+        gold = data_dir / "gold_annotations.jsonl"
+        mentions = [json.loads(line) for line in gold.read_text().splitlines()]
+        gaz = tmp_path / "gaz.tsv"
+        gaz.write_text("".join(sorted({
+            f"{m['surface']}\t{m['type']}\n" for m in mentions if m["kind"] == "mention"
+        })), encoding="utf-8")
+        for name, gazetteer in (("gold", None), ("both", str(gaz))):
+            run_prepare(desk_config(
+                data_dir, tmp_path / name, prompt_mode="constrained",
+                annotations=str(gold), gazetteer=gazetteer,
+            ))
+        files = sorted((tmp_path / "gold" / "batches").iterdir())
+        assert files
+        for path in files:
+            assert path.read_bytes() == (tmp_path / "both" / "batches" / path.name).read_bytes()
+
 
 class TestBatchLines:
     LINE = {"tokens": [0, 7, 8, 9, 1], "segments": [0, 0, 0, 0, 0], "label": 1}

@@ -87,7 +87,7 @@ class TestInferColumnTypes:
 
 class TestLinkEntities:
     def gaz(self):
-        return Gazetteer.from_pairs(
+        return Gazetteer(
             [("apple iphone", "PRODUCT"), ("apple", "ORG"), ("samsung", "ORG")]
         )
 
@@ -109,7 +109,7 @@ class TestLinkEntities:
         assert [(m.start, m.end) for m in mentions] == [(0, 1), (2, 3)]
 
     def test_case_insensitive(self):
-        gaz = Gazetteer.from_pairs([("Apple iPhone", "PRODUCT")])
+        gaz = Gazetteer([("Apple iPhone", "PRODUCT")])
         table = column_table(["APPLE IPHONE 6s"], name="tableA", column="title")
         mentions = link_entities(table, gaz)
         assert len(mentions) == 1 and mentions[0].entity_type == "PRODUCT"
@@ -190,7 +190,7 @@ class TestLinkEntities:
         assert link_entities(table, gaz) == self.width_scan(table, gaz)
 
     def test_widths_longest_first(self):
-        gaz = Gazetteer.from_pairs(
+        gaz = Gazetteer(
             [("apple", "ORG"), ("apple iphone 6s", "PRODUCT"), ("apple iphone", "PRODUCT")]
         )
         assert gaz.widths("apple") == (3, 2, 1)
@@ -426,7 +426,7 @@ class TestGazetteer:
     @pytest.mark.parametrize("other", ["Alpha", "alpha", "ALPHA  ", "alpha\u00a0"])
     def test_surfaces_with_same_tokens_and_other_types_rejected(self, other):
         with pytest.raises(FormatError) as err:
-            Gazetteer.from_pairs([("alpha", "person"), (other, "org")])
+            Gazetteer([("alpha", "person"), (other, "org")])
         assert "'alpha'" in str(err.value) and repr(other) in str(err.value)
         assert "'person'" in str(err.value) and "'org'" in str(err.value)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from knowmatch.errors import DomainError
+from knowmatch.errors import DomainError, FormatError
 from knowmatch.knowledge import ingest_annotations
 from knowmatch.synth import SyntheticSpec, generate_synthetic, write_synthetic
 from knowmatch.tabular import load_pairs, load_table
@@ -44,6 +44,10 @@ class TestGenerate:
     def test_zero_entities_rejected(self):
         with pytest.raises(DomainError):
             SyntheticSpec(entities=0)
+
+    def test_fractional_entities_rejected(self):
+        with pytest.raises(FormatError, match="key entities must be int"):
+            SyntheticSpec(entities=2.5)
 
     def test_same_surface_entities_get_distinct_categories(self):
         dataset = generate_synthetic(SyntheticSpec(entities=40, ambiguity=2), seed=2)
