@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,6 +41,7 @@ from .errors import (
 from .injection import Branch, InjectionTree, expand
 from .knowledge import (
     AnnotationStore,
+    DITTO_MODES,
     Gazetteer,
     ditto_inject,
     infer_column_types,
@@ -49,6 +49,7 @@ from .knowledge import (
     link_entities,
 )
 from .serializer import (
+    MIN_MAX_LEN,
     PromptMode,
     build_vocab,
     check_length,
@@ -95,17 +96,18 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        # 8 is the least max_len that serialize_pair accepts.
-        check_fields(self, min_count=1, batch_size=1, epochs=0, max_len=8, seed=0)
+        check_fields(
+            self, min_count=1, batch_size=1, epochs=0, max_len=MIN_MAX_LEN, seed=0,
+            # run_train and evaluate run BLAS on one thread.
+            threads=(1, 1),
+        )
         PromptMode.from_string(self.prompt_mode)  # validates
-        if self.ditto_mode.lower() not in ("off", "general", "product"):
+        if self.ditto_mode.lower() not in ("off", *DITTO_MODES):
             raise DomainError(f"unknown ditto_mode {self.ditto_mode!r}")
         # One spelling per mode, so the manifest has one too.
         object.__setattr__(self, "ditto_mode", self.ditto_mode.lower())
-        if not 0.0 < self.lr < math.inf:
-            raise DomainError(f"lr must be positive and finite, got {self.lr}")
-        if self.threads != 1:
-            raise DomainError("threads accepts only 1: run_train and evaluate run BLAS on one thread")
+        if self.lr <= 0.0:
+            raise DomainError(f"lr must be positive, got {self.lr}")
         self.encoder_config(vocab_size=1)  # the encoder checks its own keys
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
@@ -472,13 +474,13 @@ def evaluate(config: RunConfig, split: str, checkpoint: str | Path | None = None
 
 
 def compare(config_a: RunConfig, config_b: RunConfig, split: str = "test") -> dict:
-    """Run two configs (prepare/train when artifacts are missing), evaluate
-    both on the split, and t-test their per-example correctness."""
+    """Prepare, train and evaluate two configs on the split, and t-test their
+    per-example correctness. Each config runs in full, so nothing already
+    in its ``out_dir`` is scored in its place."""
     results = []
     for cfg in (config_a, config_b):
-        if not (Path(cfg.out_dir) / "checkpoint.bin").exists():
-            run_prepare(cfg)
-            run_train(cfg)
+        run_prepare(cfg)
+        run_train(cfg)
         results.append(evaluate(cfg, split))
     metrics_a, metrics_b = results
     test = paired_ttest(metrics_a.per_example_correct, metrics_b.per_example_correct)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FormatError, OverlapError
-from .tabular import Table, json_object, read_lines, tsv_pair, write_json_lines
+from .tabular import FIELD_TYPES, Table, json_object, read_lines, tsv_pair, write_json_lines
 from .text import tokenize
 
 # Ditto-style baseline injection vocabularies.
@@ -25,8 +25,12 @@ DITTO_GENERAL_TYPES = frozenset(
 )
 DITTO_PRODUCT_SOURCE_TYPES = frozenset({"NORP", "GPE", "LOC", "PERSON", "PRODUCT"})
 
-# Labels the shipped rule table can emit; fallback is "text".
-RULE_TYPE_LABELS = ("year", "price", "date", "quantity", "name", "text")
+# Each Ditto mode: the mention types it keeps, and the type it relabels them
+# to (None keeps each mention's own type).
+DITTO_MODES = {
+    "general": (DITTO_GENERAL_TYPES, None),
+    "product": (DITTO_PRODUCT_SOURCE_TYPES, "PRODUCT"),
+}
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,9 @@ _COLUMN_RULES: tuple[tuple[str, object], ...] = (
     ("name", _is_name_like),
 )
 
+# Labels the shipped rule table can emit: its rules', then the fallback.
+RULE_TYPE_LABELS = tuple(label for label, _ in _COLUMN_RULES) + ("text",)
+
 
 def infer_column_types(table: Table) -> list[ColumnTypeAnnotation]:
     """Predict one semantic type per column from its values.
@@ -288,32 +295,23 @@ def ditto_inject(
     General mode keeps the seven general types unchanged; Product mode keeps
     the five product-adjacent types and relabels them all 'PRODUCT'.
     """
-    normalized = mode.lower()
-    out = []
-    if normalized == "general":
-        for m in mentions:
-            if m.entity_type in DITTO_GENERAL_TYPES:
-                out.append(m)
-    elif normalized == "product":
-        for m in mentions:
-            if m.entity_type in DITTO_PRODUCT_SOURCE_TYPES:
-                out.append(
-                    EntityMention(
-                        m.table, m.row, m.column, m.start, m.end, m.surface, "PRODUCT"
-                    )
-                )
-    else:
+    if mode.lower() not in DITTO_MODES:
         raise DomainError(f"unknown ditto mode {mode!r}")
-    return out
+    kept, relabel = DITTO_MODES[mode.lower()]
+    return [
+        m if relabel is None else replace(m, entity_type=relabel)
+        for m in mentions
+        if m.entity_type in kept
+    ]
 
 
-def _field(obj: dict, key: str, types: tuple[type, ...] = (str,)):
-    """``obj[key]``, which must be exactly one of ``types``: nothing is
-    coerced, and a bool is not an int."""
+def _field(obj: dict, key: str, kind: str = "str"):
+    """``obj[key]``, which must be of the ``FIELD_TYPES`` kind ``"str"``,
+    ``"int"`` or ``"float"``: nothing is coerced, and a bool is not a
+    number."""
     value = obj[key]
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{key} must be {names}, got {value!r}")
+    if type(value) not in FIELD_TYPES[kind]:
+        raise TypeError(f"{key} must be {kind}, got {value!r}")
     return value
 
 
@@ -337,7 +335,7 @@ def ingest_annotations(path: str | Path) -> AnnotationStore:
                         table=_field(obj, "table"),
                         column=_field(obj, "column"),
                         predicted_type=_field(obj, "type"),
-                        confidence=float(_field(obj, "confidence", (int, float))),
+                        confidence=float(_field(obj, "confidence", "float")),
                     )
                 )
             else:
@@ -346,8 +344,8 @@ def ingest_annotations(path: str | Path) -> AnnotationStore:
                         table=_field(obj, "table"),
                         row=_field(obj, "row"),
                         column=_field(obj, "column"),
-                        start=_field(obj, "start", (int,)),
-                        end=_field(obj, "end", (int,)),
+                        start=_field(obj, "start", "int"),
+                        end=_field(obj, "end", "int"),
                         surface=_field(obj, "surface"),
                         entity_type=_field(obj, "type"),
                     )

@@ -189,6 +189,10 @@ def serialize_entry(
     return TokenSeq(tokens=tuple(tokens))
 
 
+# The least max_len that serialize_pair, and so RunConfig, accepts.
+MIN_MAX_LEN = 8
+
+
 def serialize_pair(
     e1: Record,
     e2: Record,
@@ -212,8 +216,8 @@ def serialize_pair(
     ``(table, entry_id)``, so a dict passed to many calls serializes each
     record once. It must serve one store, mode, tokenizer and table pair.
     """
-    if max_len < 8:
-        raise DomainError(f"max_len must be >= 8, got {max_len}")
+    if max_len < MIN_MAX_LEN:
+        raise DomainError(f"max_len must be >= {MIN_MAX_LEN}, got {max_len}")
     entries = {} if entries is None else entries
     for record, table in ((e1, left_table), (e2, right_table)):
         if (table, record.entry_id) not in entries:

@@ -57,15 +57,14 @@ class SyntheticSpec:
     valid_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        check_fields(self, entities=1, ambiguity=1, extra_columns=0)
+        check_fields(
+            self, entities=1, ambiguity=1, extra_columns=0, match_rate=(0, 1),
+            perturbation=(0, 1), train_frac=(0, 1), valid_frac=(0, 1),
+        )
         if not self.categories:
             raise DomainError("need at least one category")
-        if not 0.0 <= self.match_rate <= 1.0:
-            raise DomainError("match_rate must be in [0,1]")
-        if not 0.0 <= self.perturbation <= 1.0:
-            raise DomainError("perturbation must be in [0,1]")
-        if self.train_frac < 0 or self.valid_frac < 0 or self.train_frac + self.valid_frac > 1.0:
-            raise DomainError("split fractions must be non-negative and sum to <= 1")
+        if self.train_frac + self.valid_frac > 1.0:
+            raise DomainError("split fractions must sum to <= 1")
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticDataset:
     if spec.match_rate == 0.0:
         n_neg = len(hard_negatives)
         positives = []
-    elif spec.match_rate == 1.0:
-        n_neg = 0
     else:
         n_neg = round(len(positives) * (1.0 - spec.match_rate) / spec.match_rate)
     rng.shuffle(hard_negatives)

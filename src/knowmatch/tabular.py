@@ -164,25 +164,32 @@ def json_object(text: str) -> dict:
 
 # The types each declared field type admits: a bool is not a number, an int
 # is a valid float, and a tuple[str, ...] must hold strings alone.
-_FIELD_TYPES = {
+FIELD_TYPES = {
     "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
     "str | None": (str, type(None)), "tuple[str, ...]": (tuple,),
 }
 
 
-def check_fields(config, **lowest) -> None:
+def check_fields(config, **bounds) -> None:
     """Check each field of dataclass ``config`` against its declared type,
-    then each one named in ``lowest`` against its least value. A wrong type
-    is a FormatError naming the key, a value below its bound a DomainError."""
+    each float against being NaN or infinite, and then each field named in
+    ``bounds`` against its bound: a least value, or an inclusive ``(least,
+    most)`` pair. A wrong type is a FormatError naming the key; a value
+    that is not finite, or out of bounds, a DomainError."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if type(value) not in _FIELD_TYPES[f.type] or (
+        if type(value) not in FIELD_TYPES[f.type] or (
             type(value) is tuple and any(type(v) is not str for v in value)
         ):
             raise FormatError(f"config key {f.name} must be {f.type}, got {value!r}")
-    for name, least in lowest.items():
-        if getattr(config, name) < least:
-            raise DomainError(f"{name} must be >= {least}, got {getattr(config, name)}")
+        if type(value) is float and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
+    for name, bound in bounds.items():
+        value = getattr(config, name)
+        least, most = bound if type(bound) is tuple else (bound, math.inf)
+        if not least <= value <= most:
+            rule = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+            raise DomainError(f"{name} must be {rule}, got {value}")
 
 
 def tsv_pair(text: str) -> tuple[str, str]:

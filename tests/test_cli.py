@@ -223,7 +223,8 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "flag",
         [("--batch_size", "0"), ("--epochs", "-3"), ("--n_heads", "0"), ("--seed", "-1"),
-         ("--dropout", "1.0"), ("--lr", "nan"), ("--d_model", "10")],
+         ("--dropout", "1.0"), ("--lr", "nan"), ("--d_model", "10"), ("--lr", "inf"),
+         ("--dropout", "nan")],
     )
     def test_bad_config_value_exit_2(self, synth_dir, tmp_path, capsys, flag):
         out = tmp_path / "out"
@@ -232,6 +233,17 @@ class TestPipeline:
         )
         assert code == 2
         assert "data error" in err and flag[0][2:] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "2"])
+    @pytest.mark.parametrize("key", ["train_frac", "valid_frac", "match_rate", "perturbation"])
+    def test_bad_synth_value_exit_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "synth", "--out", str(out), "--entities", "8", f"--{key}", value
+        )
+        assert code == 2
+        assert "data error" in err and key in err
         assert not out.exists()
 
     def test_numerical_error_exit_3(self, synth_dir, tmp_path, capsys, monkeypatch):

@@ -1136,6 +1136,16 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(err.value) and f"key {key} must be" in str(err.value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_header_dropout_not_finite_rejected(self, tmp_path, value):
+        config = small_config()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(config), config, seed=0)
+        self._rewrite(path, lambda h: h["config"].update(dropout_rate=value))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and "dropout_rate must be finite" in str(err.value)
+
     def test_integer_and_float_dropout_rates_write_the_same_bytes(self, tmp_path):
         paths = []
         for rate in (0, 0.0):
@@ -1249,7 +1259,7 @@ class TestBatch:
             ("vocab_size", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -2),
             ("d_ff", 0), ("max_position", 0), ("n_layers", -1),
             ("dropout_rate", -1.0), ("dropout_rate", 1.0), ("dropout_rate", float("nan")),
-            ("seed", -1),
+            ("dropout_rate", float("inf")), ("dropout_rate", float("-inf")), ("seed", -1),
         ],
     )
     def test_config_out_of_range_rejected(self, field, value):

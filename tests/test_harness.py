@@ -34,6 +34,7 @@ from knowmatch.harness import (
 from knowmatch.injection import assemble
 from knowmatch.knowledge import (
     AnnotationStore,
+    DITTO_MODES,
     Gazetteer,
     ditto_inject,
     infer_column_types,
@@ -159,6 +160,16 @@ class TestResolveConfig:
     def test_ditto_mode_stored_lowercase(self, spelling):
         assert RunConfig(ditto_mode=spelling).ditto_mode == "general"
 
+    @pytest.mark.parametrize(
+        "mode", ["off", "general", "product", "Off", "PRODUCT", "both", "ner", ""]
+    )
+    def test_ditto_modes_are_off_and_the_table(self, mode):
+        if mode.lower() in ("off", *DITTO_MODES):
+            assert RunConfig(ditto_mode=mode).ditto_mode == mode.lower()
+        else:
+            with pytest.raises(DomainError, match="ditto_mode"):
+                RunConfig(ditto_mode=mode)
+
     def test_precedence_config_env_flag(self):
         config = resolve_config({"seed": 1}, env={})
         assert config.seed == 1
@@ -229,6 +240,11 @@ class TestResolveConfig:
             ({"gazetteer": 5}, FormatError),
             ({"data_dir": None}, FormatError),
             ({"d_model": 10, "n_heads": 3}, DomainError),
+            ({"lr": float("-inf")}, DomainError),
+            ({"dropout": float("nan")}, DomainError),
+            ({"dropout": float("inf")}, DomainError),
+            ({"dropout": float("-inf")}, DomainError),
+            ({"threads": 0}, DomainError),
         ],
     )
     def test_bad_value_rejected(self, values, error):
@@ -1139,15 +1155,26 @@ class TestCompare:
         with pytest.raises(DegenerateError):
             compare(config, config, split="test")
 
-    def test_reused_out_dir_with_other_prompt_mode_rejected(self, small_dataset, tmp_path):
-        baseline = desk_config(small_dataset, tmp_path / "b", epochs=0)
-        run_prepare(baseline)
-        run_train(baseline)
-        # compare reuses the existing checkpoint in "b" instead of rebuilding it.
-        config_a = desk_config(small_dataset, tmp_path / "a", epochs=0, prompt_mode="slash")
-        config_b = desk_config(small_dataset, tmp_path / "b", epochs=0, prompt_mode="slash")
-        with pytest.raises(IncompatibleArtifactsError, match="prompt_mode"):
-            compare(config_a, config_b, split="test")
+    def test_stale_out_dir_is_retrained(self, tmp_path):
+        data_dir = tmp_path / "data"
+        spec = SyntheticSpec(entities=40, ambiguity=2, extra_columns=0, train_frac=0.7)
+        write_synthetic(generate_synthetic(spec, seed=11), data_dir)
+        # "b" already holds an untrained checkpoint when compare runs it at 6 epochs.
+        stale = desk_config(data_dir, tmp_path / "b", seed=1, epochs=0)
+        run_prepare(stale)
+        run_train(stale)
+        config_a = desk_config(
+            data_dir, tmp_path / "a", seed=1, epochs=6, prompt_mode="slash",
+            annotations=str(data_dir / "gold_annotations.jsonl"),
+        )
+        config_b = desk_config(data_dir, tmp_path / "b", seed=1, epochs=6)
+        result = compare(config_a, config_b, split="test")
+        fresh = desk_config(data_dir, tmp_path / "fresh", seed=1, epochs=6)
+        run_prepare(fresh)
+        steps = run_train(fresh)["steps"]
+        assert steps > 0
+        assert len((tmp_path / "b" / "loss_log.jsonl").read_text().splitlines()) == steps
+        assert result["f1_b"] == evaluate(fresh, "test").f1
 
     def test_injected_vs_baseline_full_output(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -13,6 +13,7 @@ from knowmatch.knowledge import (
     DITTO_PRODUCT_SOURCE_TYPES,
     EntityMention,
     Gazetteer,
+    RULE_TYPE_LABELS,
     ditto_inject,
     export_annotations,
     infer_column_types,
@@ -60,6 +61,17 @@ class TestInferColumnTypes:
         assert infer_column_types(column_table(["2020-01-02", "1999-12-31"]))[0].predicted_type == "date"
         assert infer_column_types(column_table(["5 kg", "12 kg"]))[0].predicted_type == "quantity"
         assert infer_column_types(column_table(["Taylor Swift", "Nina Simone"]))[0].predicted_type == "name"
+
+    def test_every_emitted_label_is_a_rule_type_label(self):
+        columns = {
+            "year": ("1999", "2001"), "price": ("$9.99", "$12.00"),
+            "date": ("2020-01-02", "1999-12-31"), "quantity": ("5 kg", "12 kg"),
+            "name": ("Taylor Swift", "Nina Simone"), "text": ("free text", "more words"),
+        }
+        table = make_table("t", tuple(columns), list(zip(*columns.values())))
+        emitted = [a.predicted_type for a in infer_column_types(table)]
+        assert emitted == list(columns)
+        assert tuple(emitted) == RULE_TYPE_LABELS
 
     def test_empty_cells_ignored(self):
         anns = infer_column_types(column_table(["1999", "", ""]))
@@ -371,6 +383,17 @@ class TestIngestExport:
         path = tmp_path / "ann.jsonl"
         path.write_text(json.dumps(self.MENTION) + "\n" + json.dumps(line) + "\n")
         with pytest.raises(FormatError, match=r"ann\.jsonl: line 2: \w+ must be "):
+            ingest_annotations(path)
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("start", 1.5, "int"), ("surface", 3, "str"), ("confidence", "0.9", "float")],
+    )
+    def test_wrong_json_type_names_the_kind(self, tmp_path, key, value, kind):
+        line = dict(self.COLUMN_TYPE if key == "confidence" else self.MENTION, **{key: value})
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(FormatError, match=rf"line 1: {key} must be {kind}, got "):
             ingest_annotations(path)
 
     def test_integer_confidence_is_stored_as_float(self, tmp_path):

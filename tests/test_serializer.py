@@ -9,9 +9,11 @@ from knowmatch.errors import (
     DomainError,
     SequenceOverflowError,
 )
+from knowmatch.harness import RunConfig
 from knowmatch.injection import InjectionTree, flatten_with_soft_positions
 from knowmatch.knowledge import AnnotationStore, ColumnTypeAnnotation, EntityMention
 from knowmatch.serializer import (
+    MIN_MAX_LEN,
     Branch,
     PromptMode,
     TokenSeq,
@@ -322,6 +324,16 @@ class TestSerializePair:
         e1, e2, tokenizer = self.one_column_pair()
         with pytest.raises(DomainError):
             serialize_pair(e1, e2, AnnotationStore(), PromptMode.SPACE, tokenizer, 7)
+
+    def test_run_config_and_serialize_pair_share_the_least_max_len(self):
+        e1, e2, tokenizer = self.one_column_pair()
+        assert RunConfig(max_len=MIN_MAX_LEN).max_len == MIN_MAX_LEN
+        with pytest.raises(DomainError, match="max_len"):
+            RunConfig(max_len=MIN_MAX_LEN - 1)
+        with pytest.raises(DomainError, match="max_len"):
+            serialize_pair(
+                e1, e2, AnnotationStore(), PromptMode.SPACE, tokenizer, MIN_MAX_LEN - 1
+            )
 
     def test_sites_offsets_cover_both_sides(
         self, annotated_store, product_tables, tokenizer

@@ -49,6 +49,25 @@ class TestGenerate:
         with pytest.raises(FormatError, match="key entities must be int"):
             SyntheticSpec(entities=2.5)
 
+    @pytest.mark.parametrize(
+        "key", ["match_rate", "perturbation", "train_frac", "valid_frac"]
+    )
+    @pytest.mark.parametrize(
+        "value", [-0.1, 1.5, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_float_out_of_range_or_not_finite_rejected(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            SyntheticSpec(**{key: value})
+
+    def test_split_fractions_summing_past_one_rejected(self):
+        with pytest.raises(DomainError, match="sum"):
+            SyntheticSpec(train_frac=0.7, valid_frac=0.4)
+
+    def test_all_positive_match_rate(self):
+        dataset = generate_synthetic(SyntheticSpec(entities=20, match_rate=1.0), seed=4)
+        assert len(dataset.all_pairs) == 20
+        assert all(p.label == 1 for p in dataset.all_pairs)
+
     def test_same_surface_entities_get_distinct_categories(self):
         dataset = generate_synthetic(SyntheticSpec(entities=40, ambiguity=2), seed=2)
         store = dataset.annotations
