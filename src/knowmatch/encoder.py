@@ -675,7 +675,7 @@ def loss_and_gradients(
     loss_value = loss(probs, batch.labels)
 
     b = batch.size
-    # Each gradient is assigned once below; np.add.at accumulates the embeddings'.
+    # Each gradient is assigned once below; _scatter_rows accumulates the embeddings'.
     grads = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb", "seg_emb")}
 
     dlogits = probs.copy()
@@ -717,9 +717,24 @@ def loss_and_gradients(
     grads["emb_ln_g"] = dg
     grads["emb_ln_b"] = dbv
     for name, index in _lookups(batch, config):
-        np.add.at(grads[name], index, dsum)
+        _scatter_rows(grads[name], index, dsum)
 
     return loss_value, grads
+
+
+def _scatter_rows(table, index, values):
+    """``np.add.at(table, index, values)`` for a contiguous (V, d) ``table``
+    and ``values`` of shape ``index.shape + (d,)``, as 1-D ``add.at`` calls
+    over element indices, which numpy runs about 3x faster than the 2-D
+    form. Each element receives the same additions in the same row order,
+    so the result is bit-identical. A sorted ``reduceat`` or a one-hot
+    matmul would not be: both add in another order. One call per batch row
+    keeps the int64 element indices to (L, d), not (B, L, d)."""
+    d = table.shape[1]
+    flat = table.reshape(-1)
+    columns = np.arange(d)
+    for row, vals in zip(index, values):
+        np.add.at(flat, (row[:, None] * d + columns).reshape(-1), vals.reshape(-1))
 
 
 def _attention_backward(dx1, cache, params, prefix, config, ws, grads):
@@ -772,17 +787,34 @@ def _attention_backward(dx1, cache, params, prefix, config, ws, grads):
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments. ``moments`` is one (2, n) array over
+    the n parameter values in ``params`` order, so ``train_step`` updates
+    every moment in one pass; ``m`` and ``v`` are dicts keyed like
+    ``params`` whose values are views of its two rows."""
+
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    moments: np.ndarray
 
     @classmethod
     def init(cls, params: dict) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+        n = sum(p.size for p in params.values())
+        moments = np.zeros((2, n), dtype=np.result_type(*params.values()))
+        m, v = (
+            {name: row[part].reshape(params[name].shape) for name, part in _flat_views(params)}
+            for row in moments
         )
+        return cls(step=0, m=m, v=v, moments=moments)
+
+
+def _flat_views(params: dict) -> list[tuple[str, slice]]:
+    """Each parameter's slice of a flat array over ``params`` in order."""
+    views, start = [], 0
+    for name, p in params.items():
+        views.append((name, slice(start, start + p.size)))
+        start += p.size
+    return views
 
 
 def train_step(
@@ -803,32 +835,42 @@ def train_step(
     if config.dropout_rate > 0.0:
         rng = np.random.default_rng(config.seed * 1_000_003 + state.step)
     loss_value, grads = loss_and_gradients(batch, params, config, dropout_rng=rng, ws=ws)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient in {name}, step aborted")
+    m, v = state.moments
+    views = _flat_views(params)
+    # The update runs once over flat arrays in params order. Its two buffers
+    # are backward-pass scratch, dead once the gradients are out; "dscores"
+    # and "tmp" hold (B, H, L, L) scores, so a step's memory grows only where
+    # the parameter values outnumber those. The gradients are gathered and
+    # checked at once; the first non-finite one is named.
+    g = ws.get("dscores", m.shape, m.dtype)
+    for name, part in views:
+        g[part] = grads[name].reshape(-1)
+    if not np.isfinite(g).all():
+        bad = next(name for name, _ in views if not np.isfinite(grads[name]).all())
+        raise NumericalError(f"non-finite gradient in {bad}, step aborted")
 
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        u = ws.get("adam_u", g.shape, g.dtype)
-        s = ws.get("adam_s", g.shape, g.dtype)
-        # m = b1·m + (1 - b1)·g
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=u)
-        # v = b2·v + (1 - b2)·g²
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=u)
-        u *= 1.0 - ADAM_BETA2
-        v += u
-        # p -= lr·(m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=u)
-        u *= lr
-        np.sqrt(np.divide(v, bc2, out=s), out=s)
-        s += ADAM_EPS
-        u /= s
-        p -= u
+    u = ws.get("tmp", m.shape, m.dtype)
+    # m = b1·m + (1 - b1)·g
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=u)
+    # v = b2·v + (1 - b2)·g²
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=u)
+    u *= 1.0 - ADAM_BETA2
+    v += u
+    # p -= lr·(m / bc1) / (sqrt(v / bc2) + eps); g is dead now and takes
+    # the denominator.
+    np.divide(m, bc1, out=u)
+    u *= lr
+    np.sqrt(np.divide(v, bc2, out=g), out=g)
+    g += ADAM_EPS
+    u /= g
+    for name, part in views:
+        p = params[name]
+        p -= u[part].reshape(p.shape)
     state.step = t
     return loss_value
 

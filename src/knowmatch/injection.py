@@ -63,26 +63,24 @@ class _Layout(NamedTuple):
 
 
 def _flat_layout(tree: InjectionTree) -> _Layout:
-    """Walk the tree once in flat order.
+    """Lay the tree out in flat order, a block at a time: start from the
+    trunk and splice each branch's block in right after the last token of
+    its head span, last head first, so the trunk positions of the heads
+    still to come do not shift.
 
-    Branch tokens sit immediately after the last token of their head span.
     Validation rejects intersecting heads, so no two branches share that
     anchor.
     """
-    by_anchor = {br.head[1] - 1: bi for bi, br in enumerate(tree.branches)}
-    layout = _Layout([], [], [], [])
-    for i, tok in enumerate(tree.trunk):
-        layout.tokens.append(tok)
-        layout.soft.append(i)
-        layout.owner.append(-1)
-        layout.anchor.append(i)
-        bi = by_anchor.get(i)
-        if bi is not None:
-            know = tree.branches[bi].knowledge
-            layout.tokens.extend(know)
-            layout.soft.extend(range(i + 1, i + 1 + len(know)))
-            layout.owner.extend([bi] * len(know))
-            layout.anchor.extend([i] * len(know))
+    trunk = tree.trunk
+    n = len(trunk)
+    layout = _Layout(list(trunk), list(range(n)), [-1] * n, list(range(n)))
+    for end, bi in sorted(((br.head[1], bi) for bi, br in enumerate(tree.branches)), reverse=True):
+        know = tree.branches[bi].knowledge
+        k = len(know)
+        layout.tokens[end:end] = know
+        layout.soft[end:end] = range(end, end + k)
+        layout.owner[end:end] = [bi] * k
+        layout.anchor[end:end] = [end - 1] * k
     return layout
 
 

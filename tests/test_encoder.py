@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knowmatch.encoder as enc
+from knowmatch import injection
 from knowmatch.blas import blas_threads
 from knowmatch.encoder import (
     AdamState,
@@ -25,6 +28,8 @@ from knowmatch.encoder import (
     train_step,
 )
 from knowmatch.errors import DomainError, FormatError, NumericalError
+
+from conftest import reference_scatter_rows, reference_train_step
 
 
 def small_config(**kwargs):
@@ -801,6 +806,139 @@ class TestGradients:
                 assert rel < 1e-4, f"{name}[{i}]: {numeric} vs {gflat[i]}"
 
 
+def bits(a):
+    """``a``'s values as same-width ints, so equality is bit for bit."""
+    return a.view(f"i{a.itemsize}")
+
+
+def template_batch(rng, vocab_size):
+    """Rows of 3 to 9 tokens padded to 9: pads have soft position 0."""
+    seqs = []
+    for n in (9, 3, 6, 4):
+        tokens = [0, *rng.integers(6, vocab_size, size=n - 1)]
+        segments = [0] * (n // 2) + [1] * (n - n // 2)
+        seqs.append((tokens, None, segments, None, int(rng.integers(0, 2))))
+    return Batch.from_sequences(seqs, pad_id=1)
+
+
+def constrained_batch(rng, vocab_size):
+    """Injected rows: branch tokens share soft positions with the trunk."""
+    seqs = []
+    for n in (12, 7, 10):
+        trunk = (0, *rng.integers(6, vocab_size, size=n - 1).tolist())
+        branches = (
+            injection.Branch((1, 3), (7, 8)),
+            injection.Branch((4, 5), (9,)),
+            injection.Branch((n - 1, n), (7,)),
+        )
+        segments = [0] * (n // 2) + [1] * (n - n // 2)
+        inj = injection.expand(injection.InjectionTree(trunk, branches), segments)
+        seqs.append(
+            (inj.tokens, inj.soft_positions, inj.segments, inj.visible, int(rng.integers(0, 2)))
+        )
+    return Batch.from_sequences(seqs, pad_id=1)
+
+
+class TestScatterRows:
+    """``_scatter_rows`` equals the 2-D ``np.add.at`` bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("use_segments", [True, False])
+    @pytest.mark.parametrize("make_batch", [template_batch, constrained_batch])
+    def test_lookups_equal_add_at(self, make_batch, use_segments, dtype):
+        config = small_config(dtype=dtype, use_segments=use_segments)
+        rng = np.random.default_rng(41)
+        batch = make_batch(rng, config.vocab_size)
+        # Magnitudes over 16 decades, so another summation order would show.
+        values = rng.standard_normal(batch.token_ids.shape + (config.d_model,))
+        values *= 10.0 ** rng.uniform(-8, 8, size=values.shape)
+        values = values.astype(config.np_dtype)
+        names = []
+        for name, index in enc._lookups(batch, config):
+            shape = param_shapes(config)[name]
+            got, want = np.zeros(shape, config.np_dtype), np.zeros(shape, config.np_dtype)
+            enc._scatter_rows(got, index, values)
+            reference_scatter_rows(want, index, values)
+            assert np.array_equal(bits(got), bits(want)), name
+            names.append(name)
+        assert names == ["tok_emb", "pos_emb", "seg_emb"][: 3 if use_segments else 2]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("use_segments", [True, False])
+    @pytest.mark.parametrize("make_batch", [template_batch, constrained_batch])
+    def test_gradients_equal_add_at(self, make_batch, use_segments, dtype, monkeypatch):
+        config = small_config(dtype=dtype, use_segments=use_segments)
+        params = init_params(config)
+        batch = make_batch(np.random.default_rng(42), config.vocab_size)
+        _, got = loss_and_gradients(batch, params, config)
+        monkeypatch.setattr(enc, "_scatter_rows", reference_scatter_rows)
+        _, want = loss_and_gradients(batch, params, config)
+        for name in ("tok_emb", "pos_emb", "seg_emb"):
+            assert np.array_equal(bits(got[name]), bits(want[name])), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 6), cols=st.integers(1, 40), width=st.integers(1, 8),
+        table=st.integers(1, 4), dtype=st.sampled_from(["float32", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_heavily_repeated_indices(self, rows, cols, width, table, dtype, seed):
+        # At most 4 table rows for up to 240 lookups: each row is hit many
+        # times, with values over 16 decades.
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, table, size=(rows, cols))
+        values = rng.standard_normal((rows, cols, width)) * 10.0 ** rng.uniform(
+            -8, 8, size=(rows, cols, width)
+        )
+        values = values.astype(dtype)
+        got, want = np.zeros((table, width), dtype), np.zeros((table, width), dtype)
+        enc._scatter_rows(got, index, values)
+        reference_scatter_rows(want, index, values)
+        assert np.array_equal(bits(got), bits(want))
+
+
+class TestFlatAdam:
+    """The flat Adam update equals the per-parameter loop bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("lr", [0.0, 1e-3, 3e-2])
+    def test_equals_per_parameter_loop(self, dtype, lr):
+        config = small_config(dtype=dtype)
+        rng = np.random.default_rng(43)
+        batches = [constrained_batch(rng, config.vocab_size) for _ in range(3)]
+        runs = []
+        for step in (train_step, reference_train_step):
+            params = init_params(config)
+            state = AdamState.init(params)
+            ws = enc.Workspace()
+            history = []
+            for batch in batches:
+                value = step(batch, params, state, lr, config, ws)
+                history.append(
+                    (value, state.step, *(
+                        {k: bits(a).copy() for k, a in arrays.items()}
+                        for arrays in (params, state.m, state.v)
+                    ))
+                )
+            runs.append(history)
+        for (value, t, params, m, v), ref in zip(*runs):
+            assert (value, t) == ref[:2]
+            for got, want in zip((params, m, v), ref[2:]):
+                for name in want:
+                    assert np.array_equal(got[name], want[name]), name
+
+    def test_moments_are_views_of_one_array(self):
+        params = init_params(small_config(dtype="float32"))
+        state = AdamState.init(params)
+        assert state.moments.shape == (2, sum(p.size for p in params.values()))
+        assert state.moments.dtype == np.float32
+        for row, moments in zip(state.moments, (state.m, state.v)):
+            assert list(moments) == list(params)
+            for name, p in params.items():
+                assert moments[name].shape == p.shape
+                assert np.shares_memory(moments[name], row)
+
+
 class TestTrainStep:
     def test_lr_zero_keeps_params(self):
         config = small_config()
@@ -845,7 +983,7 @@ class TestTrainStep:
             return 1.0, grads
 
         monkeypatch.setattr(enc, "loss_and_gradients", bad_grads)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="in cls_w,"):
             train_step(batch, params, state, 1e-3, config)
         for arrays, saved in zip((params, state.m, state.v), before):
             for name in params:

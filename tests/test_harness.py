@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knowmatch import blas, cli, harness
+from knowmatch import blas, cli, encoder, harness, injection
 from knowmatch.encoder import forward, init_params, load_checkpoint, save_checkpoint
 from knowmatch.errors import (
     DegenerateError,
@@ -51,6 +51,8 @@ from knowmatch.serializer import (
 from knowmatch.synth import SyntheticSpec, generate_synthetic, write_synthetic
 from knowmatch.tabular import load_pairs, load_table
 from knowmatch.text import Tokenizer, tokenize
+
+from conftest import reference_flat_layout, reference_scatter_rows, reference_train_step
 
 
 @pytest.fixture(scope="module")
@@ -1147,6 +1149,32 @@ class TestTrainEvaluate:
         manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
         with pytest.raises(FileNotFoundError):
             evaluate(config, "valid")
+
+
+class TestTrainedBytes:
+    @pytest.mark.parametrize("mode", ["slash", "constrained"])
+    def test_reference_kernels_write_the_same_bytes(
+        self, small_dataset, tmp_path, monkeypatch, mode
+    ):
+        # The shipped embedding scatter, flat Adam update and block layout
+        # against the references in conftest; neither calls BLAS, so this
+        # holds whatever the BLAS kernel.
+        written = []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(encoder, "_scatter_rows", reference_scatter_rows)
+                monkeypatch.setattr(harness, "train_step", reference_train_step)
+                monkeypatch.setattr(injection, "_flat_layout", reference_flat_layout)
+            out = tmp_path / ("reference" if reference else "shipped")
+            config = desk_config(
+                small_dataset, out, batch_size=DESK_PROFILE["batch_size"], prompt_mode=mode,
+                annotations=str(small_dataset / "gold_annotations.jsonl"),
+            )
+            run_prepare(config)
+            result = run_train(config)
+            assert result["steps"] > 0
+            written.append([(out / f).read_bytes() for f in ("checkpoint.bin", "loss_log.jsonl")])
+        assert written[0] == written[1]
 
 
 class TestCompare:

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knowmatch import injection, serializer
 from knowmatch.errors import DomainError, OverlapError, SequenceOverflowError
@@ -20,7 +22,7 @@ from knowmatch.serializer import (
     serialize_pair,
 )
 
-from conftest import make_table
+from conftest import make_table, reference_flat_layout
 
 
 def random_tree(rng, max_trunk=32, max_branches=4):
@@ -177,6 +179,35 @@ class TestFlatten:
         tokens, soft, _ = flatten_with_soft_positions(tree)
         assert tokens.index(50) == 3  # right after trunk position 2
         assert soft[3] == 3
+
+
+@st.composite
+def injection_trees(draw):
+    """Trees whose heads are 1 to 3 tokens long, 0 to 2 tokens apart (0:
+    adjacent heads), may end on the last trunk token, carry 0 to 3 knowledge
+    tokens, and are listed in any order."""
+    n = draw(st.integers(1, 24))
+    trunk = tuple(draw(st.lists(st.integers(0, 99), min_size=n, max_size=n)))
+    branches = []
+    start = draw(st.integers(0, n))
+    while start < n and draw(st.booleans()):
+        end = min(n, start + draw(st.integers(1, 3)))
+        knowledge = tuple(draw(st.lists(st.integers(100, 120), max_size=3)))
+        branches.append(Branch((start, end), knowledge))
+        start = end + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(branches))))
+    return InjectionTree(trunk, tuple(branches[i] for i in order))
+
+
+class TestFlatLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(tree=injection_trees())
+    @example(tree=InjectionTree((5, 6, 7), ()))
+    @example(tree=InjectionTree((5, 6, 7), (Branch((2, 3), (50, 51)),)))
+    @example(tree=InjectionTree((5, 6, 7, 8), (Branch((2, 4), (50,)), Branch((0, 2), (51,)))))
+    @example(tree=InjectionTree((5, 6, 7), (Branch((0, 1), ()), Branch((1, 3), (50,)))))
+    def test_equals_token_walk(self, tree):
+        assert injection._flat_layout(tree) == reference_flat_layout(tree)
 
 
 class TestVisibleMatrix:
